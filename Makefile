@@ -31,7 +31,7 @@ cluster-smoke:
 	$(GO) test -race -count=1 -run 'TestClusterBitIdentical|TestClusterSurvivesWorkerKill' ./internal/cluster
 
 bench:
-	$(GO) test -bench 'EnginePreprocess' -benchtime 10x -run '^$$' .
+	$(GO) test -bench 'EnginePreprocess|MonteCarlo$$' -benchtime 10x -run '^$$' . ./internal/density
 
 # Solver-core comparison (current vs row-based baseline, plus the DualAscent
 # path): runs the BenchmarkILPI/BenchmarkILPII/BenchmarkSimplex

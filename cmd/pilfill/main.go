@@ -38,11 +38,12 @@ func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 // jsonOutput is the -json document: session-level figures plus one report
 // payload per method run, in the exact serialization pilfilld returns.
 type jsonOutput struct {
-	Layout  string                  `json:"layout"`
-	Nets    int                     `json:"nets"`
-	Budget  int                     `json:"budget"`
-	PrepMS  float64                 `json:"prep_ms"`
-	Reports []*server.ReportPayload `json:"reports"`
+	Layout   string                  `json:"layout"`
+	Nets     int                     `json:"nets"`
+	Budget   int                     `json:"budget"`
+	PrepMS   float64                 `json:"prep_ms"`
+	BudgetMS float64                 `json:"budget_ms"`
+	Reports  []*server.ReportPayload `json:"reports"`
 }
 
 func main() {
@@ -173,8 +174,8 @@ func main() {
 		fmt.Printf("layout %s: %d nets, budget %d fill features, prep %.0f ms\n",
 			l.Name, len(l.Nets), s.Budget.Total(), float64(s.PrepTime)/1e6)
 		prep := s.Engine.Prep
-		fmt.Printf("  prep phases: analyze %.1f ms, extract %.1f ms, build %.1f ms",
-			ms(prep.Analyze), ms(prep.Extract), ms(prep.Build))
+		fmt.Printf("  prep phases: analyze %.1f ms, extract %.1f ms, build %.1f ms, budget %.1f ms",
+			ms(prep.Analyze), ms(prep.Extract), ms(prep.Build), ms(s.BudgetTime))
 		if cs := s.CacheStats(); cs.Hits+cs.Misses > 0 {
 			fmt.Printf("; cap-table cache %d hits / %d misses (%d tables)", cs.Hits, cs.Misses, cs.Entries)
 		}
@@ -200,10 +201,11 @@ func main() {
 	}
 
 	out := jsonOutput{
-		Layout: l.Name,
-		Nets:   len(l.Nets),
-		Budget: s.Budget.Total(),
-		PrepMS: ms(s.PrepTime),
+		Layout:   l.Name,
+		Nets:     len(l.Nets),
+		Budget:   s.Budget.Total(),
+		PrepMS:   ms(s.PrepTime),
+		BudgetMS: ms(s.BudgetTime),
 	}
 	var last *pilfill.Report
 	for _, m := range methods {

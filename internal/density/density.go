@@ -1,16 +1,10 @@
 // Package density implements fixed-dissection layout density analysis and
 // the density-driven per-tile fill budgeting of Chen, Kahng, Robins and
 // Zelikovsky ("Dummy Fill Synthesis for Uniform Layout Density", TCAD 2002)
-// — the "normal fill" baseline of the PIL-Fill paper. Two budgeting engines
-// are provided:
-//
-//   - LPBudget: the min-variation linear program (maximize the minimum
-//     window density subject to an upper bound and per-tile slack), solved
-//     with the simplex solver in internal/lp. Exact but only practical for
-//     coarse dissections.
-//   - MonteCarlo: the randomized greedy budgeter that repeatedly adds one
-//     fill feature to a slack tile of the currently emptiest window.
-//     Scales to fine dissections; this is what the experiment harness uses.
+// — the "normal fill" baseline of the PIL-Fill paper. MonteCarlo is the
+// randomized greedy budgeter that repeatedly adds one fill feature to a slack
+// tile of the currently emptiest window; FFTBudget is the effective-density
+// budgeter of the chip-scale path.
 //
 // Both return the same artifact — the number of fill features each tile must
 // receive — which the PIL-Fill methods then place. Density quality depends
@@ -24,7 +18,6 @@ import (
 	"math/rand"
 
 	"pilfill/internal/layout"
-	"pilfill/internal/lp"
 )
 
 // Grid aggregates per-tile feature area and fill slack for one layer.
@@ -200,138 +193,7 @@ func MonteCarlo(g *Grid, opts MonteCarloOptions) (Budget, float64, error) {
 	if opts.TargetMin <= 0 {
 		return nil, 0, fmt.Errorf("density: TargetMin = %g", opts.TargetMin)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	wx, wy := g.D.NumWindows()
-	budget := g.NewBudget()
-	slack := make([][]int, g.D.NX)
-	for i := range slack {
-		slack[i] = append([]int(nil), g.TileSlack[i]...)
-	}
-
-	// Window state in exact integers: the drawn base area and the number of
-	// fill features added so far. Densities are derived on demand as
-	// (base + count·featureArea)/windowArea — one division from exact
-	// integers — instead of incrementally accumulating float deltas, whose
-	// rounding drift compounds over millions of insertions until the budgeter
-	// both overshoots MaxDensity and mis-ranks the emptiest window.
-	winBase := make([][]int64, wx)
-	winCnt := make([][]int64, wx)
-	winArea := make([][]int64, wx)
-	for i := 0; i < wx; i++ {
-		winBase[i] = make([]int64, wy)
-		winCnt[i] = make([]int64, wy)
-		winArea[i] = make([]int64, wy)
-		for j := 0; j < wy; j++ {
-			var base int64
-			for di := 0; di < g.D.R; di++ {
-				for dj := 0; dj < g.D.R; dj++ {
-					ti, tj := i+di, j+dj
-					if ti >= g.D.NX || tj >= g.D.NY {
-						continue
-					}
-					base += g.TileArea[ti][tj]
-				}
-			}
-			winBase[i][j] = base
-			winArea[i][j] = g.D.WindowRect(i, j).Area()
-		}
-	}
-	density := func(wi, wj int) float64 {
-		return float64(winBase[wi][wj]+winCnt[wi][wj]*g.FeatureArea) / float64(winArea[wi][wj])
-	}
-	// windowsOver iterates window origins covering tile (ti, tj).
-	windowsOver := func(ti, tj int, visit func(wi, wj int)) {
-		loI := ti - g.D.R + 1
-		if loI < 0 {
-			loI = 0
-		}
-		loJ := tj - g.D.R + 1
-		if loJ < 0 {
-			loJ = 0
-		}
-		for wi := loI; wi <= ti && wi < wx; wi++ {
-			for wj := loJ; wj <= tj && wj < wy; wj++ {
-				visit(wi, wj)
-			}
-		}
-	}
-
-	dead := make(map[[2]int]bool) // windows that cannot be improved further
-	for {
-		// Find the emptiest improvable window.
-		minI, minJ := -1, -1
-		minD := opts.TargetMin
-		for i := 0; i < wx; i++ {
-			for j := 0; j < wy; j++ {
-				if dead[[2]int{i, j}] {
-					continue
-				}
-				if d := density(i, j); d < minD {
-					minD = d
-					minI, minJ = i, j
-				}
-			}
-		}
-		if minI < 0 {
-			break // every live window is at or above target
-		}
-		// Candidate tiles: slack tiles in this window whose insertion does
-		// not push any covering window over MaxDensity.
-		type cand struct {
-			ti, tj int
-			w      int
-		}
-		var cands []cand
-		totalW := 0
-		for di := 0; di < g.D.R; di++ {
-			for dj := 0; dj < g.D.R; dj++ {
-				ti, tj := minI+di, minJ+dj
-				if ti >= g.D.NX || tj >= g.D.NY || slack[ti][tj] == 0 {
-					continue
-				}
-				ok := true
-				if opts.MaxDensity > 0 {
-					windowsOver(ti, tj, func(wi, wj int) {
-						after := winBase[wi][wj] + (winCnt[wi][wj]+1)*g.FeatureArea
-						if float64(after)/float64(winArea[wi][wj]) > opts.MaxDensity {
-							ok = false
-						}
-					})
-				}
-				if ok {
-					cands = append(cands, cand{ti, tj, slack[ti][tj]})
-					totalW += slack[ti][tj]
-				}
-			}
-		}
-		if len(cands) == 0 {
-			dead[[2]int{minI, minJ}] = true
-			continue
-		}
-		pick := rng.Intn(totalW)
-		var chosen cand
-		for _, c := range cands {
-			if pick < c.w {
-				chosen = c
-				break
-			}
-			pick -= c.w
-		}
-		budget[chosen.ti][chosen.tj]++
-		slack[chosen.ti][chosen.tj]--
-		windowsOver(chosen.ti, chosen.tj, func(wi, wj int) {
-			winCnt[wi][wj]++
-		})
-	}
-
-	achieved := math.Inf(1)
-	for i := 0; i < wx; i++ {
-		for j := 0; j < wy; j++ {
-			if d := density(i, j); d < achieved {
-				achieved = d
-			}
-		}
-	}
+	budget, achieved := monteCarlo(g, opts, nil)
 	return budget, achieved, nil
 }
 
@@ -343,84 +205,197 @@ func MaxMinDensity(g *Grid, maxDensity float64, seed int64) (float64, error) {
 	return achieved, err
 }
 
-// MaxLPVars bounds the LP budgeter's problem size (variables = tiles + 1).
-const MaxLPVars = 1200
-
-// LPBudget computes a fill budget by solving the min-variation LP: maximize
-// the minimum window density M subject to every window staying at or below
-// maxDensity and every tile receiving at most its slack. The fractional
-// areas are rounded down to whole features (rounding keeps all upper bounds
-// satisfied). Only practical for coarse dissections; returns an error when
-// the problem exceeds MaxLPVars variables.
-func LPBudget(g *Grid, maxDensity float64) (Budget, error) {
-	nx, ny := g.D.NX, g.D.NY
-	nTiles := nx * ny
-	if nTiles+1 > MaxLPVars {
-		return nil, fmt.Errorf("density: LP budget with %d tiles exceeds %d variables; use MonteCarlo", nTiles, MaxLPVars-1)
-	}
-	wx, wy := g.D.NumWindows()
-	// Variables: x[0..nTiles-1] = fill area per tile (in feature units),
-	// x[nTiles] = M (minimum window density, scaled to [0,1]).
-	nv := nTiles + 1
-	tileVar := func(i, j int) int { return i*ny + j }
-
-	obj := make([]float64, nv)
-	obj[nTiles] = -1 // maximize M
-
-	var cons []lp.Constraint
-	fa := float64(g.FeatureArea)
-	for wi := 0; wi < wx; wi++ {
-		for wj := 0; wj < wy; wj++ {
-			wa := float64(g.D.WindowRect(wi, wj).Area())
-			base := 0.0
-			coeffLo := make([]float64, nv)
-			coeffHi := make([]float64, nTiles)
-			for di := 0; di < g.D.R; di++ {
-				for dj := 0; dj < g.D.R; dj++ {
-					ti, tj := wi+di, wj+dj
-					if ti >= nx || tj >= ny {
-						continue
-					}
-					base += float64(g.TileArea[ti][tj])
-					coeffLo[tileVar(ti, tj)] = fa / wa
-					coeffHi[tileVar(ti, tj)] = fa / wa
-				}
-			}
-			// (base + fa·Σx)/wa >= M  ->  Σ (fa/wa) x - M >= -base/wa
-			coeffLo[nTiles] = -1
-			cons = append(cons, lp.Constraint{Coeffs: coeffLo, Op: lp.GE, RHS: -base / wa})
-			if maxDensity > 0 {
-				cons = append(cons, lp.Constraint{Coeffs: coeffHi, Op: lp.LE, RHS: maxDensity - base/wa})
-			}
-		}
-	}
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			co := make([]float64, tileVar(i, j)+1)
-			co[tileVar(i, j)] = 1
-			cons = append(cons, lp.Constraint{Coeffs: co, Op: lp.LE, RHS: float64(g.TileSlack[i][j])})
-		}
-	}
-	sol, err := lp.Solve(&lp.Problem{NumVars: nv, Objective: obj, Constraints: cons})
-	if err != nil {
-		return nil, fmt.Errorf("density: LP budget: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("density: LP budget: %v", sol.Status)
+// MaxMinBudget probes the best reachable minimum density as MaxMinDensity
+// does and budgets to it as MonteCarlo with that TargetMin does, returning
+// the budget and the probed density, from a single budgeter run. Under one
+// seed the budget run is an exact prefix of the probe's run: the emptiest
+// live window's density never falls, and a run stops at the first one at or
+// above its target. So the probe logs its insertions and the budget replays
+// those made below the probed density.
+func MaxMinBudget(g *Grid, maxDensity float64, seed int64) (Budget, float64, error) {
+	var log []insertion
+	_, achieved := monteCarlo(g, MonteCarloOptions{TargetMin: 1.0, MaxDensity: maxDensity, Seed: seed}, &log)
+	if achieved <= 0 {
+		return nil, 0, fmt.Errorf("density: TargetMin = %g", achieved)
 	}
 	budget := g.NewBudget()
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			budget[i][j] = int(math.Floor(sol.X[tileVar(i, j)] + 1e-7))
-			if budget[i][j] > g.TileSlack[i][j] {
-				budget[i][j] = g.TileSlack[i][j]
-			}
-			if budget[i][j] < 0 {
-				budget[i][j] = 0
+	for _, e := range log {
+		if e.minD >= achieved {
+			break
+		}
+		budget[e.tile/g.D.NY][e.tile%g.D.NY]++
+	}
+	return budget, achieved, nil
+}
+
+// insertion is one feature the budgeter added: the density of the window it
+// was lifting and the flat index i·NY + j of the tile that received it.
+type insertion struct {
+	minD float64
+	tile int
+}
+
+// monteCarlo runs the budgeter, appending every insertion to log when it is
+// non-nil. Windows and tiles are flat row-major indices (i·wy + j, i·NY + j).
+func monteCarlo(g *Grid, opts MonteCarloOptions, log *[]insertion) (Budget, float64) {
+	rng := rand.New(rand.NewSource(opts.Seed))
+	r, ny := g.D.R, g.D.NY
+	wx, wy := g.D.NumWindows()
+	nw := wx * wy
+	budget := g.NewBudget()
+	slack := make([]int, 0, g.D.NX*ny)
+	for i := range g.TileSlack {
+		slack = append(slack, g.TileSlack[i]...)
+	}
+
+	// Window state in exact integers: the drawn base area and the number of
+	// fill features added so far. Densities are derived as
+	// (base + count·featureArea)/windowArea — one division from exact
+	// integers — instead of incrementally accumulating float deltas, whose
+	// rounding drift compounds over millions of insertions until the budgeter
+	// both overshoots MaxDensity and mis-ranks the emptiest window.
+	base := make([]int64, nw)
+	cnt := make([]int64, nw)
+	area := make([]int64, nw)
+	// full[w]: one more feature in window w would push it over MaxDensity.
+	// blocked[t]: some window covering tile t is full. Both only ever turn
+	// on, since counts only rise, so they replace re-checking every covering
+	// window of every candidate tile.
+	full := make([]bool, nw)
+	blocked := make([]bool, len(slack))
+	setFull := func(w int) {
+		if opts.MaxDensity > 0 && !full[w] &&
+			float64(base[w]+(cnt[w]+1)*g.FeatureArea)/float64(area[w]) > opts.MaxDensity {
+			full[w] = true
+			wi, wj := w/wy, w%wy
+			for ti := wi; ti < wi+r; ti++ {
+				for tj := wj; tj < wj+r; tj++ {
+					blocked[ti*ny+tj] = true
+				}
 			}
 		}
 	}
-	return budget, nil
+	h := &windowHeap{heap: make([]int, nw), pos: make([]int, nw), dens: make([]float64, nw)}
+	for w := range nw {
+		wi, wj := w/wy, w%wy
+		for ti := wi; ti < wi+r; ti++ {
+			for tj := wj; tj < wj+r; tj++ {
+				base[w] += g.TileArea[ti][tj]
+			}
+		}
+		area[w] = g.D.WindowRect(wi, wj).Area()
+		h.dens[w] = float64(base[w]) / float64(area[w])
+		h.heap[w], h.pos[w] = w, w
+		setFull(w)
+	}
+	for i := nw/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+
+	var cands []int
+	for len(h.heap) > 0 {
+		// The emptiest live window; the heap key (density, index) picks the
+		// one a row-major scan for the strictly smallest density would.
+		w := h.heap[0]
+		if !(h.dens[w] < opts.TargetMin) {
+			break // every live window is at or above target
+		}
+		// Candidate tiles: slack tiles in this window whose insertion does
+		// not push any covering window over MaxDensity.
+		cands = cands[:0]
+		total := 0
+		wi, wj := w/wy, w%wy
+		for ti := wi; ti < wi+r; ti++ {
+			for tj := wj; tj < wj+r; tj++ {
+				if t := ti*ny + tj; slack[t] > 0 && !blocked[t] {
+					cands = append(cands, t)
+					total += slack[t]
+				}
+			}
+		}
+		if len(cands) == 0 {
+			h.pop() // the window cannot be improved further
+			continue
+		}
+		pick := rng.Intn(total)
+		var t int
+		for _, t = range cands {
+			if pick < slack[t] {
+				break
+			}
+			pick -= slack[t]
+		}
+		if log != nil {
+			*log = append(*log, insertion{h.dens[w], t})
+		}
+		ti, tj := t/ny, t%ny
+		budget[ti][tj]++
+		slack[t]--
+		// Every window covering the tile: the count rises, so its key only
+		// needs a sift down.
+		for vi := max(ti-r+1, 0); vi <= ti && vi < wx; vi++ {
+			for vj := max(tj-r+1, 0); vj <= tj && vj < wy; vj++ {
+				v := vi*wy + vj
+				cnt[v]++
+				h.dens[v] = float64(base[v]+cnt[v]*g.FeatureArea) / float64(area[v])
+				setFull(v)
+				if p := h.pos[v]; p >= 0 {
+					h.down(p)
+				}
+			}
+		}
+	}
+
+	achieved := math.Inf(1)
+	for _, d := range h.dens {
+		if d < achieved {
+			achieved = d
+		}
+	}
+	return budget, achieved
+}
+
+// windowHeap is an indexed binary min-heap of the live windows keyed on
+// (dens[w], w). pos[w] is w's slot in heap, or -1 once w is popped. Keys only
+// rise, so restoring the heap after an update needs only a sift down.
+type windowHeap struct {
+	heap, pos []int
+	dens      []float64
+}
+
+func (h *windowHeap) less(a, b int) bool {
+	return h.dens[a] < h.dens[b] || h.dens[a] == h.dens[b] && a < b
+}
+
+func (h *windowHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]], h.pos[h.heap[j]] = i, j
+}
+
+func (h *windowHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.heap) {
+			return
+		}
+		if c+1 < len(h.heap) && h.less(h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.less(h.heap[c], h.heap[i]) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// pop removes the top window.
+func (h *windowHeap) pop() {
+	last := len(h.heap) - 1
+	h.swap(0, last)
+	h.pos[h.heap[last]] = -1
+	h.heap = h.heap[:last]
+	h.down(0)
 }
 
 // CheckBudget verifies a budget respects per-tile slack.

@@ -1,6 +1,7 @@
 package density
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,47 +192,6 @@ func TestMonteCarloBadTarget(t *testing.T) {
 	}
 }
 
-func TestLPBudgetSmall(t *testing.T) {
-	// One empty quadrant; LP should reach a perfectly balanced minimum.
-	tile := int64(2000)
-	g := testGrid(t, 4, 4, 2, tile,
-		func(i, j int) int64 {
-			if i < 2 && j < 2 {
-				return 0
-			}
-			return tile * tile / 4
-		},
-		func(i, j int) int { return 1000 })
-	before, _ := g.Stats(nil)
-	budget, err := LPBudget(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CheckBudget(budget); err != nil {
-		t.Error(err)
-	}
-	after, maxD := g.Stats(budget)
-	if after <= before {
-		t.Errorf("LP did not improve min density: %g -> %g", before, after)
-	}
-	if maxD > 0.5+1e-9 {
-		t.Errorf("max density %g over bound", maxD)
-	}
-	// With abundant slack the LP should equalize to ~0.25 (the dense tiles'
-	// level), minus rounding of at most one feature per tile.
-	if after < 0.2 {
-		t.Errorf("after = %g, want >= 0.2", after)
-	}
-}
-
-func TestLPBudgetTooLarge(t *testing.T) {
-	g := testGrid(t, 40, 40, 2, 2000,
-		func(i, j int) int64 { return 0 }, func(i, j int) int { return 1 })
-	if _, err := LPBudget(g, 0.5); err == nil {
-		t.Error("oversized LP accepted")
-	}
-}
-
 func TestMaxMinDensity(t *testing.T) {
 	tile := int64(2000)
 	g := testGrid(t, 4, 4, 2, tile,
@@ -388,64 +348,306 @@ func TestQuickFillNeverDecreasesAnyWindow(t *testing.T) {
 	}
 }
 
-func BenchmarkMonteCarlo16x16(b *testing.B) {
-	tile := int64(2000)
-	nx := 16
-	die := geom.Rect{X1: 0, Y1: 0, X2: int64(nx) * tile, Y2: int64(nx) * tile}
+// referenceMonteCarlo is the full-scan budgeter the heap-driven MonteCarlo
+// replaced, kept verbatim as the oracle it must match bit for bit: every
+// insertion rescans all windows for the emptiest live one and re-checks
+// MaxDensity against every window covering every candidate tile.
+func referenceMonteCarlo(g *Grid, opts MonteCarloOptions) (Budget, float64, error) {
+	if opts.TargetMin <= 0 {
+		return nil, 0, fmt.Errorf("density: TargetMin = %g", opts.TargetMin)
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	wx, wy := g.D.NumWindows()
+	budget := g.NewBudget()
+	slack := make([][]int, g.D.NX)
+	for i := range slack {
+		slack[i] = append([]int(nil), g.TileSlack[i]...)
+	}
+
+	// Window state in exact integers: the drawn base area and the number of
+	// fill features added so far. Densities are derived on demand as
+	// (base + count·featureArea)/windowArea — one division from exact
+	// integers — instead of incrementally accumulating float deltas, whose
+	// rounding drift compounds over millions of insertions until the budgeter
+	// both overshoots MaxDensity and mis-ranks the emptiest window.
+	winBase := make([][]int64, wx)
+	winCnt := make([][]int64, wx)
+	winArea := make([][]int64, wx)
+	for i := 0; i < wx; i++ {
+		winBase[i] = make([]int64, wy)
+		winCnt[i] = make([]int64, wy)
+		winArea[i] = make([]int64, wy)
+		for j := 0; j < wy; j++ {
+			var base int64
+			for di := 0; di < g.D.R; di++ {
+				for dj := 0; dj < g.D.R; dj++ {
+					ti, tj := i+di, j+dj
+					if ti >= g.D.NX || tj >= g.D.NY {
+						continue
+					}
+					base += g.TileArea[ti][tj]
+				}
+			}
+			winBase[i][j] = base
+			winArea[i][j] = g.D.WindowRect(i, j).Area()
+		}
+	}
+	density := func(wi, wj int) float64 {
+		return float64(winBase[wi][wj]+winCnt[wi][wj]*g.FeatureArea) / float64(winArea[wi][wj])
+	}
+	// windowsOver iterates window origins covering tile (ti, tj).
+	windowsOver := func(ti, tj int, visit func(wi, wj int)) {
+		loI := ti - g.D.R + 1
+		if loI < 0 {
+			loI = 0
+		}
+		loJ := tj - g.D.R + 1
+		if loJ < 0 {
+			loJ = 0
+		}
+		for wi := loI; wi <= ti && wi < wx; wi++ {
+			for wj := loJ; wj <= tj && wj < wy; wj++ {
+				visit(wi, wj)
+			}
+		}
+	}
+
+	dead := make(map[[2]int]bool) // windows that cannot be improved further
+	for {
+		// Find the emptiest improvable window.
+		minI, minJ := -1, -1
+		minD := opts.TargetMin
+		for i := 0; i < wx; i++ {
+			for j := 0; j < wy; j++ {
+				if dead[[2]int{i, j}] {
+					continue
+				}
+				if d := density(i, j); d < minD {
+					minD = d
+					minI, minJ = i, j
+				}
+			}
+		}
+		if minI < 0 {
+			break // every live window is at or above target
+		}
+		// Candidate tiles: slack tiles in this window whose insertion does
+		// not push any covering window over MaxDensity.
+		type cand struct {
+			ti, tj int
+			w      int
+		}
+		var cands []cand
+		totalW := 0
+		for di := 0; di < g.D.R; di++ {
+			for dj := 0; dj < g.D.R; dj++ {
+				ti, tj := minI+di, minJ+dj
+				if ti >= g.D.NX || tj >= g.D.NY || slack[ti][tj] == 0 {
+					continue
+				}
+				ok := true
+				if opts.MaxDensity > 0 {
+					windowsOver(ti, tj, func(wi, wj int) {
+						after := winBase[wi][wj] + (winCnt[wi][wj]+1)*g.FeatureArea
+						if float64(after)/float64(winArea[wi][wj]) > opts.MaxDensity {
+							ok = false
+						}
+					})
+				}
+				if ok {
+					cands = append(cands, cand{ti, tj, slack[ti][tj]})
+					totalW += slack[ti][tj]
+				}
+			}
+		}
+		if len(cands) == 0 {
+			dead[[2]int{minI, minJ}] = true
+			continue
+		}
+		pick := rng.Intn(totalW)
+		var chosen cand
+		for _, c := range cands {
+			if pick < c.w {
+				chosen = c
+				break
+			}
+			pick -= c.w
+		}
+		budget[chosen.ti][chosen.tj]++
+		slack[chosen.ti][chosen.tj]--
+		windowsOver(chosen.ti, chosen.tj, func(wi, wj int) {
+			winCnt[wi][wj]++
+		})
+	}
+
+	achieved := math.Inf(1)
+	for i := 0; i < wx; i++ {
+		for j := 0; j < wy; j++ {
+			if d := density(i, j); d < achieved {
+				achieved = d
+			}
+		}
+	}
+	return budget, achieved, nil
+}
+
+// randomOracleGrid draws a grid for the oracle tests: NX != NY in general,
+// R from 1 to 4, a die that is not a multiple of the tile (so the last
+// windows are short), empty and zero-slack tiles, and feature sizes from a
+// few hundred insertions per grid down to a handful.
+func randomOracleGrid(t *testing.T, rng *rand.Rand) *Grid {
+	r := 1 + rng.Intn(4)
+	nx, ny := r+rng.Intn(7), r+rng.Intn(7)
+	tile := int64(1000 + rng.Intn(3000))
+	die := geom.Rect{
+		X2: int64(nx-1)*tile + 1 + rng.Int63n(tile),
+		Y2: int64(ny-1)*tile + 1 + rng.Int63n(tile),
+	}
+	d, err := layout.NewDissection(die, tile*int64(r), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feature := int64(100 + rng.Intn(500))
+	g := &Grid{D: d, FeatureArea: feature * feature}
+	g.TileArea = make([][]int64, nx)
+	g.TileSlack = make([][]int, nx)
+	emptyP, noSlackP := rng.Float64()*0.4, rng.Float64()*0.6
+	for i := 0; i < nx; i++ {
+		g.TileArea[i] = make([]int64, ny)
+		g.TileSlack[i] = make([]int, ny)
+		for j := 0; j < ny; j++ {
+			if rng.Float64() >= emptyP {
+				g.TileArea[i][j] = rng.Int63n(tile * tile * 3 / 5)
+			}
+			if rng.Float64() >= noSlackP {
+				g.TileSlack[i][j] = rng.Intn(40)
+			}
+		}
+	}
+	return g
+}
+
+func sameBudget(a, b Budget) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestMonteCarloMatchesReference: on randomized grids the heap-driven
+// budgeter returns the reference full scan's budget and achieved density
+// bit for bit, and MaxMinBudget returns what MaxMinDensity followed by
+// MonteCarlo at the probed density does.
+func TestMonteCarloMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const grids = 600
+	var insertions, unreached, capped, emptyProbes int
+	for n := 0; n < grids; n++ {
+		g := randomOracleGrid(t, rng)
+		minBefore, maxBefore := g.Stats(nil)
+		var maxD float64
+		switch rng.Intn(4) {
+		case 0: // no bound
+			maxD = -rng.Float64() * float64(rng.Intn(2))
+		case 1: // tight: close to (or below) the densest window
+			maxD = maxBefore + (rng.Float64()-0.3)*0.05
+		default:
+			maxD = 0.2 + rng.Float64()*0.7
+		}
+		var target float64
+		switch rng.Intn(3) {
+		case 0: // reachable: a little above the emptiest window
+			target = minBefore + rng.Float64()*0.05
+		case 1: // unreachable
+			target = 1
+		default:
+			target = rng.Float64()
+		}
+		opts := MonteCarloOptions{TargetMin: target, MaxDensity: maxD, Seed: rng.Int63()}
+		want, wantA, wantErr := referenceMonteCarlo(g, opts)
+		got, gotA, err := MonteCarlo(g, opts)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("grid %d %+v: err %v, reference err %v", n, opts, err, wantErr)
+		}
+		if math.Float64bits(gotA) != math.Float64bits(wantA) || !sameBudget(got, want) {
+			t.Fatalf("grid %d %+v: achieved %v total %d, reference %v total %d",
+				n, opts, gotA, got.Total(), wantA, want.Total())
+		}
+		insertions += got.Total()
+		if wantA < target {
+			unreached++ // the run stopped on windows going dead
+		}
+		if maxD > 0 {
+			free, _, _ := MonteCarlo(g, MonteCarloOptions{TargetMin: target, Seed: opts.Seed})
+			if !sameBudget(free, want) {
+				capped++ // the MaxDensity bound changed the choices
+			}
+		}
+
+		probe, err := MaxMinDensity(g, maxD, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoCall, _, twoErr := MonteCarlo(g, MonteCarloOptions{TargetMin: probe, MaxDensity: maxD, Seed: opts.Seed})
+		one, oneA, oneErr := MaxMinBudget(g, maxD, opts.Seed)
+		if (oneErr != nil) != (twoErr != nil) {
+			t.Fatalf("grid %d: MaxMinBudget err %v, two-call err %v", n, oneErr, twoErr)
+		}
+		if oneErr != nil {
+			emptyProbes++
+		} else if math.Float64bits(oneA) != math.Float64bits(probe) || !sameBudget(one, twoCall) {
+			t.Fatalf("grid %d: MaxMinBudget (%v, total %d), two-call (%v, total %d)",
+				n, oneA, one.Total(), probe, twoCall.Total())
+		}
+	}
+	// The draw must reach both stopping rules, the bound, and the probe's
+	// zero-density error, or the test proves little.
+	t.Logf("%d grids: %d insertions, %d unreached targets, %d bound by MaxDensity, %d zero probes",
+		grids, insertions, unreached, capped, emptyProbes)
+	if insertions < 50*grids || unreached < grids/10 || capped < grids/10 || emptyProbes == 0 {
+		t.Error("weak coverage")
+	}
+}
+
+// BenchmarkMonteCarlo is the session budgeting step — probe plus budget —
+// on a grid of the size the T3-family benchmark layouts give: a 204.8 um die,
+// 16x16 tiles of 12.8 um, r = 4, 400 nm features on a 600 nm pitch.
+func BenchmarkMonteCarlo(b *testing.B) {
+	const nx, tile, pitch = 16, int64(12800), int64(600)
+	die := geom.Rect{X2: nx * tile, Y2: nx * tile}
 	d, err := layout.NewDissection(die, tile*4, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	mk := func() *Grid {
-		g := &Grid{D: d, FeatureArea: 300 * 300}
-		g.TileArea = make([][]int64, nx)
-		g.TileSlack = make([][]int, nx)
-		for i := 0; i < nx; i++ {
-			g.TileArea[i] = make([]int64, nx)
-			g.TileSlack[i] = make([]int, nx)
-			for j := 0; j < nx; j++ {
-				g.TileArea[i][j] = rng.Int63n(tile * tile / 2)
-				g.TileSlack[i][j] = rng.Intn(40)
-			}
+	g := &Grid{D: d, FeatureArea: 400 * 400}
+	g.TileArea = make([][]int64, nx)
+	g.TileSlack = make([][]int, nx)
+	sites := int((tile / pitch) * (tile / pitch))
+	for i := 0; i < nx; i++ {
+		g.TileArea[i] = make([]int64, nx)
+		g.TileSlack[i] = make([]int, nx)
+		for j := 0; j < nx; j++ {
+			used := rng.Float64() * 0.4
+			g.TileArea[i][j] = int64(used * float64(tile*tile))
+			g.TileSlack[i][j] = int(float64(sites) * (1 - 1.5*used))
 		}
-		return g
 	}
-	g := mk()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MonteCarlo(g, MonteCarloOptions{TargetMin: 0.35, MaxDensity: 0.7, Seed: int64(i)}); err != nil {
+		if _, _, err := MaxMinBudget(g, 0.7, int64(i)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestLPBudgetAtLeastMonteCarlo(t *testing.T) {
-	// On a small grid the exact LP should reach a min density at least as
-	// high as the randomized budgeter (up to one feature of rounding per
-	// window).
-	tile := int64(2000)
-	g := testGrid(t, 6, 6, 2, tile,
-		func(i, j int) int64 {
-			if (i+j)%3 == 0 {
-				return 0
-			}
-			return tile * tile / 4
-		},
-		func(i, j int) int { return 15 })
-	lpB, err := LPBudget(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcB, _, err := MonteCarlo(g, MonteCarloOptions{TargetMin: 1.0, MaxDensity: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpMin, _ := g.Stats(lpB)
-	mcMin, _ := g.Stats(mcB)
-	// Rounding the LP down can cost up to r^2 features per window.
-	slack := float64(g.FeatureArea*4) / float64(g.D.WindowRect(0, 0).Area())
-	if lpMin+slack < mcMin {
-		t.Errorf("LP min %g (+%g rounding) below Monte-Carlo min %g", lpMin, slack, mcMin)
 	}
 }

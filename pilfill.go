@@ -171,9 +171,12 @@ type Session struct {
 	// PrepTime is the session's total preparation wall time (dissection,
 	// engine preprocessing, density budgeting); Engine.Prep breaks down the
 	// engine's share by phase.
-	PrepTime  time.Duration
-	MinBefore float64
-	MaxBefore float64
+	PrepTime time.Duration
+	// BudgetTime is the density-budgeting share of PrepTime: the density
+	// grid, the target probe (when TargetMinDensity is zero) and the budget.
+	BudgetTime time.Duration
+	MinBefore  float64
+	MaxBefore  float64
 	// Target is the resolved minimum window density the budget aims for
 	// (equals Options.TargetMinDensity, or the probed maximum when that
 	// was zero).
@@ -215,38 +218,39 @@ func NewSession(l *layout.Layout, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
+	budgetStart := time.Now()
 	grid := density.NewGrid(l, dis, eng.Occ, o.Layer)
+	var budget density.Budget
 	target := o.TargetMinDensity
 	if target <= 0 {
-		best, err := density.MaxMinDensity(grid, o.MaxDensity, o.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("pilfill: %w", err)
-		}
-		target = best
+		budget, target, err = density.MaxMinBudget(grid, o.MaxDensity, o.Seed)
+	} else {
+		budget, _, err = density.MonteCarlo(grid, density.MonteCarloOptions{
+			TargetMin:  target,
+			MaxDensity: o.MaxDensity,
+			Seed:       o.Seed,
+		})
 	}
-	budget, _, err := density.MonteCarlo(grid, density.MonteCarloOptions{
-		TargetMin:  target,
-		MaxDensity: o.MaxDensity,
-		Seed:       o.Seed,
-	})
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
+	budgetTime := time.Since(budgetStart)
 	minB, maxB := grid.Stats(nil)
 	instances, err := eng.Instances(budget)
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
 	s := &Session{
-		Layout:    l,
-		Engine:    eng,
-		Grid:      grid,
-		Budget:    budget,
-		Instances: instances,
-		Opts:      o,
-		MinBefore: minB,
-		MaxBefore: maxB,
-		Target:    target,
+		Layout:     l,
+		Engine:     eng,
+		Grid:       grid,
+		Budget:     budget,
+		Instances:  instances,
+		Opts:       o,
+		MinBefore:  minB,
+		MaxBefore:  maxB,
+		Target:     target,
+		BudgetTime: budgetTime,
 	}
 	s.PrepTime = time.Since(start)
 	return s, nil

@@ -2,8 +2,13 @@ package pilfill
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pilfill/internal/density"
+	"pilfill/internal/layout"
 )
 
 func TestSessionOnT1AllPaperMethods(t *testing.T) {
@@ -66,6 +71,58 @@ func TestSessionDensityIdenticalAcrossMethods(t *testing.T) {
 	if repA.MinAfter != repB.MinAfter || repA.MaxAfter != repB.MaxAfter {
 		t.Errorf("density differs between methods: [%g,%g] vs [%g,%g]",
 			repA.MinAfter, repA.MaxAfter, repB.MinAfter, repB.MaxAfter)
+	}
+}
+
+// TestSessionProbedBudgetMatchesTwoCalls: a session with a probed target
+// budgets in one MaxMinBudget run; its target, budget and placed fill must be
+// those of the probe followed by a MonteCarlo run at the probed density, and
+// a session given that density explicitly must budget exactly as MonteCarlo.
+func TestSessionProbedBudgetMatchesTwoCalls(t *testing.T) {
+	for _, gen := range []func() (*layout.Layout, error){GenerateT1, GenerateT2} {
+		l, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Window: 51200, R: 4, Rule: DefaultRuleT1T2(), Seed: 5}
+		probed, err := NewSession(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxD := probed.Opts.MaxDensity
+		target, err := density.MaxMinDensity(probed.Grid, maxD, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := density.MonteCarlo(probed.Grid, density.MonteCarloOptions{TargetMin: target, MaxDensity: maxD, Seed: opts.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.TargetMinDensity = target
+		explicit, err := NewSession(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Session{"probed": probed, "explicit": explicit} {
+			if math.Float64bits(s.Target) != math.Float64bits(target) || !reflect.DeepEqual(s.Budget, want) {
+				t.Errorf("%s %s: target %v budget %d, two-call target %v budget %d",
+					l.Name, name, s.Target, s.Budget.Total(), target, want.Total())
+			}
+			if s.BudgetTime <= 0 || s.BudgetTime > s.PrepTime {
+				t.Errorf("%s %s: budget time %v outside prep time %v", l.Name, name, s.BudgetTime, s.PrepTime)
+			}
+		}
+		a, err := probed.Run(Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := explicit.Run(Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Result.Fill.Fills, b.Result.Fill.Fills) || a.Result.Unweighted != b.Result.Unweighted {
+			t.Errorf("%s: probed and explicit sessions place different fill", l.Name)
+		}
 	}
 }
 
