@@ -47,11 +47,11 @@ bench-solver:
 bench-solver-short:
 	$(GO) run ./cmd/benchsolver -short -check -o BENCH_solver.json
 
-# End-to-end engine benchmark (pooled steady-state vs allocating path): per
-# method tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling
-# curve, written to BENCH_engine.json. Fails below the 5x allocation-
-# reduction floor, below the 5x DualAscent solve-phase ns/tile reduction
-# over ILP-II, or on any pooled-vs-unpooled result divergence.
+# End-to-end engine benchmark (warm steady-state solve path): per method
+# tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling curve,
+# written to BENCH_engine.json. Fails above 1.0 allocs/op for any method and
+# case, below the 5x DualAscent solve-phase ns/tile reduction over ILP-II,
+# or when a warm run's result diverges from the warm-up run's.
 # bench-engine-short is the single-case CI variant (no scaling sweep).
 bench-engine:
 	$(GO) run ./cmd/benchengine -check -o BENCH_engine.json

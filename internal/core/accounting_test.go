@@ -271,7 +271,8 @@ func TestAccountingErrorsOnCorruptAssignment(t *testing.T) {
 	overfull := make(Assignment, len(in.Columns))
 	overfull[0] = in.Columns[0].Col.Capacity + 1
 	fs := &layout.FillSet{Grid: eng.Grid, Layer: eng.Cfg.Layer}
-	if err := eng.place(fs, in, overfull, nil); err == nil {
+	var rows []int
+	if err := eng.place(fs, in, overfull, &rows); err == nil {
 		t.Error("place accepted an assignment exceeding free sites")
 	}
 }

@@ -76,7 +76,7 @@ func (e *Engine) dualGapTol() float64 {
 // the caller must fall back to branch-and-bound (gap above threshold, budget
 // shortfall, or a violated per-net cap); a is then partially written garbage
 // the fallback overwrites. The only error is a cancelled context.
-func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap, gapTol float64, sc *SolveScratch) (bool, error) {
+func (sc *SolveScratch) dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap, gapTol float64) (bool, error) {
 	kn := len(in.Columns)
 	if kn == 0 || in.F == 0 {
 		return true, nil
@@ -85,7 +85,11 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 	for k := range in.Columns {
 		total += in.Columns[k].MaxM + 1
 	}
-	marg, vert, off, hull, hp := sc.dualBuffers(total, kn)
+	// Arenas sized for this tile; contents are fully overwritten per column.
+	sc.dualMarg = grow(sc.dualMarg, total)
+	sc.dualVert = grow(sc.dualVert, total)
+	sc.dualOff = grow(sc.dualOff, kn)
+	marg, vert, off, hp := sc.dualMarg, sc.dualVert, sc.dualOff, &sc.mheap
 
 	// Per-column lower convex hulls (monotone chain over m ascending),
 	// expanded into per-unit convexified marginals. marg[off_k+m] is the
@@ -95,7 +99,6 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 	pos := 0
 	for k := range in.Columns {
 		if err := ctx.Err(); err != nil {
-			sc.dualHullOut(hull)
 			return false, err
 		}
 		cv := &in.Columns[k]
@@ -111,7 +114,7 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 			pos += n + 1
 			continue
 		}
-		hull = hull[:0]
+		hull := sc.dualHull[:0]
 		for m := 0; m <= n; m++ {
 			cm := cv.costAt(m)
 			for len(hull) >= 2 {
@@ -146,9 +149,9 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 		for _, v := range hull {
 			vert[pos+int(v)] = true
 		}
+		sc.dualHull = hull
 		pos += n + 1
 	}
-	sc.dualHullOut(hull)
 
 	// Monotone dual ascent: pop the globally cheapest remaining hull
 	// marginal F times. Within a column the marginals are non-decreasing,
@@ -243,82 +246,29 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 // the B&B solution when the fallback ran (fallback = true). gapTol <= 0
 // selects DualGapTolDefault.
 func SolveDualAscent(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64) (Assignment, *ilp.Solution, bool, error) {
-	a, sol, st, err := solveDualFull(ctx, in, opts, netCap, gapTol)
-	return a, sol, st.dualFallback, err
-}
-
-// solveDualFull is SolveDualAscent also reporting the full per-tile solve
-// stats (nodes/pivots and incumbent-repair outcomes of the fallback), the
-// engine's unpooled dispatch path.
-func solveDualFull(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64) (Assignment, *ilp.Solution, solveStats, error) {
-	var st solveStats
-	if gapTol <= 0 {
-		gapTol = DualGapTolDefault
-	}
+	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	ok, err := dualCertify(ctx, a, in, netCap, gapTol, nil)
+	sol, st, err := sc.solveDual(ctx, in, sc.withOpts(opts), netCap, gapTol, a)
 	if err != nil {
-		return nil, nil, st, err
+		return nil, sol, st.dualFallback, err
 	}
-	if ok {
-		return a, nil, st, nil
-	}
-	st.dualFallback = true
-	a, sol, g, err := solveILPIIFull(in, opts, netCap)
-	if sol != nil {
-		st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-	}
-	if g != nil {
-		st.incRepaired, st.incDropped = g.IncumbentRepaired, g.IncumbentDropped
-	}
-	return a, sol, st, err
+	return a, sol, st.dualFallback, nil
 }
 
-// solveDual is the DualAscent scratch fast path, mirroring solveILPI/
-// solveILPII: the assignment lands in the caller's zeroed slab slice and
-// every intermediate (hull arenas, heap, fallback program and searcher)
-// comes from the scratch, so the warm path allocates nothing. Results are
-// bit-identical to SolveDualAscent.
-func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64, a Assignment) (st solveStats, err error) {
+// solveDual is SolveDualAscent on the scratch: the assignment lands in the
+// caller's zeroed slice and every intermediate (hull arenas, heap, fallback
+// program and searcher) comes from the scratch, so the warm path allocates
+// nothing. sol is the searcher-owned fallback solution (nil on the
+// certificate path).
+func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64, a Assignment) (*ilp.Solution, solveStats, error) {
 	if gapTol <= 0 {
 		gapTol = DualGapTolDefault
 	}
-	ok, err := dualCertify(ctx, a, in, netCap, gapTol, sc)
-	if err != nil {
-		return solveStats{}, err
+	ok, err := sc.dualCertify(ctx, a, in, netCap, gapTol)
+	if err != nil || ok {
+		return nil, solveStats{}, err
 	}
-	if ok {
-		return st, nil
-	}
-	st, err = sc.solveILPII(in, opts, netCap, a)
+	sol, st, err := sc.solveILPII(in, opts, netCap, a)
 	st.dualFallback = true
-	return st, err
-}
-
-// dualBuffers returns the dual-ascent arenas sized for this tile: the
-// per-unit marginal arena and hull-vertex flags (length total = Σ MaxM+1),
-// the per-column offsets into them, the hull-stack scratch, and the marginal
-// heap. Scratch-owned when sc is non-nil, freshly allocated otherwise;
-// contents are unspecified and fully overwritten per column.
-func (sc *SolveScratch) dualBuffers(total, kn int) ([]float64, []bool, []int, []int32, *marginalHeap) {
-	if sc == nil {
-		return make([]float64, total), make([]bool, total), make([]int, kn), nil, new(marginalHeap)
-	}
-	sc.dualMarg = growFloats(sc.dualMarg, total)
-	if cap(sc.dualVert) < total {
-		sc.dualVert = make([]bool, total)
-	}
-	sc.dualVert = sc.dualVert[:total]
-	if cap(sc.dualOff) < kn {
-		sc.dualOff = make([]int, kn)
-	}
-	sc.dualOff = sc.dualOff[:kn]
-	return sc.dualMarg, sc.dualVert, sc.dualOff, sc.dualHull[:0], &sc.mheap
-}
-
-// dualHullOut stores the possibly-regrown hull stack back into the scratch.
-func (sc *SolveScratch) dualHullOut(hull []int32) {
-	if sc != nil {
-		sc.dualHull = hull
-	}
+	return sol, st, err
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"pilfill/internal/ilp"
 	"pilfill/internal/scanline"
 )
 
@@ -169,10 +168,10 @@ func TestDualCertifiesCapModelCurves(t *testing.T) {
 	}
 }
 
-// TestDualScratchPathMatchesUnpooled pins the zero-allocation scratch path
-// to the allocating one: same assignment, same fallback verdict, across a
-// scratch instance reused for every trial.
-func TestDualScratchPathMatchesUnpooled(t *testing.T) {
+// TestDualWarmScratchMatchesFresh pins a warm scratch, reused for every
+// trial, to a fresh one per solve (SolveDualAscent): same assignment, same
+// fallback verdict, so nothing a trial leaves behind leaks into the next.
+func TestDualWarmScratchMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sc := NewSolveScratch()
 	for trial := 0; trial < 200; trial++ {
@@ -183,10 +182,9 @@ func TestDualScratchPathMatchesUnpooled(t *testing.T) {
 		}
 		ref, _, refFB, errR := SolveDualAscent(context.Background(), in, nil, nc, 0)
 		a := make(Assignment, len(in.Columns))
-		sc.opts = ilp.Options{}
-		st, err := sc.solveDual(context.Background(), in, &sc.opts, nc, 0, a)
+		_, st, err := sc.solveDual(context.Background(), in, sc.withOpts(nil), nc, 0, a)
 		if (errR == nil) != (err == nil) {
-			t.Fatalf("trial %d: unpooled err %v, scratch err %v", trial, errR, err)
+			t.Fatalf("trial %d: fresh err %v, warm err %v", trial, errR, err)
 		}
 		if err != nil {
 			continue
@@ -195,15 +193,15 @@ func TestDualScratchPathMatchesUnpooled(t *testing.T) {
 			t.Fatalf("trial %d: fallback %v vs %v", trial, st.dualFallback, refFB)
 		}
 		if !slices.Equal(a, ref) {
-			t.Fatalf("trial %d: scratch %v != unpooled %v", trial, a, ref)
+			t.Fatalf("trial %d: warm %v != fresh %v", trial, a, ref)
 		}
 	}
 }
 
 // TestDualAscentContextCancelled mirrors the repo-level context tests at the
 // solver layer: a cancelled context surfaces context.Canceled from both the
-// allocating and the scratch path (the hull build polls per column, the λ
-// sweep every dualPollEvery breakpoint steps).
+// exported wrapper and the scratch method (the hull build polls per column,
+// the λ sweep every dualPollEvery breakpoint steps).
 func TestDualAscentContextCancelled(t *testing.T) {
 	in := dualSynthInstance(rand.New(rand.NewSource(3)), 8, true)
 	if in.F == 0 {
@@ -216,8 +214,7 @@ func TestDualAscentContextCancelled(t *testing.T) {
 	}
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	sc.opts = ilp.Options{}
-	if _, err := sc.solveDual(ctx, in, &sc.opts, nil, 0, a); !errors.Is(err, context.Canceled) {
+	if _, _, err := sc.solveDual(ctx, in, sc.withOpts(nil), nil, 0, a); !errors.Is(err, context.Canceled) {
 		t.Fatalf("scratch err = %v, want context.Canceled", err)
 	}
 	// The same instance still solves with a live context.

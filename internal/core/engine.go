@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -98,12 +97,6 @@ type Config struct {
 	// tile-for-tile (internal/shard sets them; zero means the engine's grid
 	// is the chip's). They affect nothing but Normal's per-tile RNG seeds.
 	TileOffI, TileOffJ int
-	// NoSolvePool disables the per-worker SolveScratch pooling and the
-	// assignment slab, restoring the pre-pooling per-tile allocation
-	// behavior. Results are bit-identical either way; the switch exists so
-	// benchmarks (cmd/benchengine) and the pooling-equivalence tests can
-	// compare the two paths.
-	NoSolvePool bool
 	// Grounded models tied-to-ground fill instead of the paper's floating
 	// fill: heavier capacitive loading (cap.DeltaGrounded) in exchange for
 	// crosstalk shielding. Note the grounded cost curve has a step at the
@@ -126,8 +119,8 @@ type Config struct {
 	Memo *SolveMemo
 	// NoSolveMemo disables tile-solve memoization entirely (every tile is
 	// solved from scratch, the pre-memo behavior); used by benchmarks — the
-	// pooled-vs-unpooled allocation comparisons would otherwise measure memo
-	// hits — and the memo-correctness tests.
+	// steady-state solve measurements would otherwise measure memo hits —
+	// and the memo-correctness tests.
 	NoSolveMemo bool
 	// Trace optionally records hierarchical spans (prep → analyze/extract,
 	// run → tile → solve, ilp progress instants) into the observability
@@ -477,7 +470,7 @@ type Result struct {
 	// solve memo this run. With concurrent workers two tiles of the same
 	// pattern may race past the lookup and both solve, so the split between
 	// hits and misses can vary run to run — unlike every field above, which
-	// stays bit-identical regardless of memoization, pooling, or workers.
+	// stays bit-identical regardless of memoization or workers.
 	MemoHits   int
 	MemoMisses int
 	// IncumbentsRepaired/IncumbentsDropped count ILP-II warm-start incumbents
@@ -561,14 +554,6 @@ func (e *Engine) addProgress(ctx context.Context, opts *ilp.Options, in *Instanc
 	}
 }
 
-// solveOpts is ilpOpts plus addProgress — the per-tile options of the
-// unpooled solve path.
-func (e *Engine) solveOpts(ctx context.Context, in *Instance, lane int, parent obs.SpanID) *ilp.Options {
-	opts := e.ilpOpts(ctx)
-	e.addProgress(ctx, opts, in, lane, parent)
-	return opts
-}
-
 // normalSeed derives the Normal baseline's per-tile RNG seed from the tile's
 // chip-grid position (local index plus Config.TileOffI/J), so sharded region
 // engines draw the same randomness for a tile as the whole-chip engine.
@@ -577,127 +562,66 @@ func (e *Engine) normalSeed(in *Instance) int64 {
 	return e.Cfg.Seed ^ (i*1_000_003+j)*2_654_435_761
 }
 
-// solveInstance dispatches one tile to the chosen solver. The Normal
-// baseline derives its randomness from (Seed, I, J) so tiles can be solved
-// in any order — or concurrently — with identical results. A cancelled
-// context surfaces as the context's error; for the ILP methods the
-// branch-and-bound search itself is interrupted mid-tile.
-func (e *Engine) solveInstance(ctx context.Context, method Method, in *Instance, lane int, span obs.SpanID) (Assignment, solveStats, error) {
-	var st solveStats
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	switch method {
-	case Normal:
-		return SolveNormal(in, rand.New(rand.NewSource(e.normalSeed(in)))), st, nil
-	case Greedy:
-		return SolveGreedy(in), st, nil
-	case MarginalGreedy:
-		return SolveMarginalGreedy(in), st, nil
-	case GreedyCapped:
-		return e.solveGreedyCapped(in), st, nil
-	case DP:
-		a, err := SolveDPContext(ctx, in)
-		return a, st, err
-	case ILPI:
-		a, sol, err := SolveILPI(in, e.solveOpts(ctx, in, lane, span))
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		if sol != nil {
-			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-		}
-		return a, st, err
-	case ILPII:
-		var nc *NetCap
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
-		a, sol, g, err := solveILPIIFull(in, e.solveOpts(ctx, in, lane, span), nc)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		if sol != nil {
-			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-		}
-		if g != nil {
-			st.incRepaired, st.incDropped = g.IncumbentRepaired, g.IncumbentDropped
-		}
-		return a, st, err
-	case DualAscent:
-		var nc *NetCap
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
-		a, _, st, err := solveDualFull(ctx, in, e.solveOpts(ctx, in, lane, span), nc, e.dualGapTol())
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		return a, st, err
-	default:
-		return nil, st, fmt.Errorf("core: unknown method %v", method)
-	}
-}
-
-// solveInstancePooled is solveInstance on the steady-state path: the
-// assignment lands in the caller's zeroed slab slice and every intermediate
-// (problem, incumbent, searcher nodes, sampler state) comes from the
-// worker's SolveScratch. base carries the run-wide ILP options (including
-// the hoisted Cancel closure) and nc the run-wide net cap; both are read-
-// only here. Results are bit-identical to solveInstance.
-func (e *Engine) solveInstancePooled(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
+// solveTile dispatches one tile to the chosen solver on the worker's
+// scratch: the assignment lands in the caller's zeroed slab slice and every
+// intermediate (problem, incumbent, searcher nodes, sampler state) comes
+// from sc. base carries the run-wide ILP options (including the hoisted
+// Cancel closure) and nc the run-wide net cap; both are read-only here. The
+// Normal baseline derives its randomness from (Seed, I, J) so tiles can be
+// solved in any order — or concurrently — with identical results. A
+// cancelled context surfaces as the context's error; for the ILP methods
+// the branch-and-bound search itself is interrupted mid-tile.
+func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
 	base *ilp.Options, nc *NetCap, a Assignment, lane int, span obs.SpanID) (solveStats, error) {
 	var st solveStats
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
+	var err error
 	switch method {
 	case Normal:
-		// Re-seeding reinitializes the rng's source exactly as
-		// rand.NewSource(seed) would, so the pooled sampler reproduces the
-		// unpooled per-tile rand.New sequence bit for bit.
-		sc.rng.Seed(e.normalSeed(in))
-		sc.slots = solveNormalInto(a, in, sc.rng, sc.slots)
+		sc.solveNormal(a, in, sc.seededRNG(e.normalSeed(in)))
 		return st, nil
 	case Greedy:
-		sc.keys = solveGreedyInto(a, in, sc.keys)
+		sc.solveGreedy(a, in)
 		return st, nil
 	case MarginalGreedy:
-		solveMarginalGreedyInto(a, in, &sc.mheap)
+		sc.solveMarginalGreedy(a, in)
 		return st, nil
 	case GreedyCapped:
-		e.solveGreedyCappedInto(a, in, sc)
+		if e.Cfg.NetCap > 0 {
+			sc.solveGreedyCapped(a, in, e.Cfg.NetCap, nil)
+		} else {
+			sc.solveGreedy(a, in)
+		}
 		return st, nil
 	case DP:
-		return st, solveDPInto(ctx, a, in, sc)
+		return st, sc.solveDP(ctx, a, in)
 	case ILPI:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		nodes, pivots, err := sc.solveILPI(in, &sc.opts, a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
+		var sol *ilp.Solution
+		sol, err = sc.solveILPI(in, e.tileOpts(ctx, sc, base, in, lane, span), a)
+		if sol != nil {
+			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
 		}
-		st.nodes, st.pivots = nodes, pivots
-		return st, err
 	case ILPII:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		st, err := sc.solveILPII(in, &sc.opts, nc, a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
-		}
-		return st, err
+		_, st, err = sc.solveILPII(in, e.tileOpts(ctx, sc, base, in, lane, span), nc, a)
 	case DualAscent:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		st, err := sc.solveDual(ctx, in, &sc.opts, nc, e.dualGapTol(), a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
-		}
-		return st, err
+		_, st, err = sc.solveDual(ctx, in, e.tileOpts(ctx, sc, base, in, lane, span), nc, e.dualGapTol(), a)
 	default:
 		return st, fmt.Errorf("core: unknown method %v", method)
 	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return solveStats{}, ctxErr
+	}
+	return st, err
+}
+
+// tileOpts copies the run-wide ILP options into the scratch's per-tile copy
+// and wires the observability hook for this tile.
+func (e *Engine) tileOpts(ctx context.Context, sc *SolveScratch, base *ilp.Options, in *Instance, lane int, span obs.SpanID) *ilp.Options {
+	opts := sc.withOpts(base)
+	e.addProgress(ctx, opts, in, lane, span)
+	return opts
 }
 
 // Run solves every instance with the chosen method and assembles the fill.
@@ -735,39 +659,31 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	}
 	outs := make([]outcome, len(instances))
 
-	pooled := !e.Cfg.NoSolvePool
 	memo := e.memo
 	if memo != nil && !memoizable(method, &e.Cfg.ILPOpts) {
 		memo = nil
 	}
 	workers := workerCount(e.Cfg.Workers, len(instances))
-	var scs []*SolveScratch
-	var baseOpts ilp.Options
+	// One zeroed slab carved into per-tile assignment slices: a single
+	// allocation per run instead of one per tile.
+	totalCols := 0
+	for _, in := range instances {
+		totalCols += len(in.Columns)
+	}
+	slab := make([]int, totalCols)
+	off := 0
+	for i, in := range instances {
+		k := len(in.Columns)
+		outs[i].a = slab[off : off+k : off+k]
+		off += k
+	}
+	scs := e.getScratches(workers)
+	defer e.putScratches(scs)
+	// One cancellation closure for the whole run, not one per tile.
+	baseOpts := e.ilpOpts(ctx)
 	var nc *NetCap
-	if pooled {
-		// One zeroed slab carved into per-tile assignment slices: a single
-		// allocation per run instead of one per tile.
-		totalCols := 0
-		for _, in := range instances {
-			totalCols += len(in.Columns)
-		}
-		slab := make([]int, totalCols)
-		off := 0
-		for i, in := range instances {
-			k := len(in.Columns)
-			outs[i].a = slab[off : off+k : off+k]
-			off += k
-		}
-		scs = e.getScratches(workers)
-		defer e.putScratches(scs)
-		baseOpts = e.Cfg.ILPOpts
-		if ctx.Done() != nil {
-			// One cancellation closure for the whole run, not one per tile.
-			baseOpts.Cancel = func() bool { return ctx.Err() != nil }
-		}
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
+	if e.Cfg.NetCap > 0 {
+		nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
 	}
 	fc := e.fingerprintConfig(method)
 	solveOne := func(worker, i int) {
@@ -778,32 +694,18 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		tile.Arg("j", int64(in.J))
 		solveStart := time.Now()
 		solve := tr.Start("solve", "solve", lane, tile.ID())
+		sc := scs[worker]
 		var st solveStats
 		var err error
 		hit := false
 		var key memoKey
 		if memo != nil {
-			// Fingerprint buffers come from the worker's scratch on the
-			// pooled path; the unpooled path allocates per tile (it exists
-			// for benchmarks and equivalence tests, not steady state).
-			var buf []byte
-			var netBuf []int
-			if pooled {
-				buf, netBuf = scs[worker].fpBuf, scs[worker].fpNets
-			}
-			key, buf, netBuf = fingerprintInstance(buf, netBuf, in, fc)
-			if pooled {
-				scs[worker].fpBuf, scs[worker].fpNets = buf, netBuf
-			}
+			key, sc.fpBuf, sc.fpNets = fingerprintInstance(sc.fpBuf, sc.fpNets, in, fc)
 			if ent := memo.lookup(key); ent != nil {
 				// Replay the cached solve: the assignment bytes and every
 				// deterministic by-product match what a fresh solve of this
 				// pattern produces, so downstream accounting is bit-identical.
-				if pooled {
-					copy(outs[i].a, ent.a)
-				} else {
-					outs[i].a = append([]int(nil), ent.a...)
-				}
+				copy(outs[i].a, ent.a)
 				st = solveStats{nodes: ent.nodes, pivots: ent.pivots,
 					incRepaired: ent.incRepaired, incDropped: ent.incDropped,
 					dualFallback: ent.dualFallback}
@@ -811,12 +713,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 			}
 		}
 		if !hit {
-			if pooled {
-				st, err = e.solveInstancePooled(ctx, method, in, scs[worker],
-					&baseOpts, nc, outs[i].a, lane, solve.ID())
-			} else {
-				outs[i].a, st, err = e.solveInstance(ctx, method, in, lane, solve.ID())
-			}
+			st, err = e.solveTile(ctx, method, in, sc, baseOpts, nc, outs[i].a, lane, solve.ID())
 			if memo != nil && err == nil {
 				memo.store(key, outs[i].a, st)
 			}
@@ -853,8 +750,8 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 
 	// Deterministic reduction in instance order: regardless of how the
 	// fan-out interleaved or reordered the solves above, every accumulation
-	// below walks instances[0..n) in sequence, so serial, parallel, and
-	// pooled runs produce bit-identical Results.
+	// below walks instances[0..n) in sequence, so serial and parallel runs
+	// produce bit-identical Results.
 	var placeRows []int
 	for i, in := range instances {
 		o := outs[i]
@@ -1000,9 +897,9 @@ func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
 // by buildInstance carry their center-out free-row order in
 // ColumnVar.FreeRows; hand-built test instances without it fall back to a
 // fresh occupancy scan. An assignment exceeding a column's free sites
-// indicates a capacity-extraction bug and is reported as an error. rowBuf,
-// when non-nil, is a caller-owned scratch slice reused across columns (and
-// calls) for the row sort; nil allocates per column.
+// indicates a capacity-extraction bug and is reported as an error. rowBuf is
+// a caller-owned scratch slice reused across columns (and calls) for the row
+// sort.
 func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[]int) error {
 	for k, m := range a {
 		if m <= 0 {
@@ -1016,77 +913,14 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 		if m > len(free) {
 			return fmt.Errorf("core: column %d assignment %d exceeds %d free sites", k, m, len(free))
 		}
-		var rows []int
-		if rowBuf != nil {
-			rows = append((*rowBuf)[:0], free[:m]...)
-			*rowBuf = rows
-		} else {
-			rows = append([]int(nil), free[:m]...)
-		}
+		rows := append((*rowBuf)[:0], free[:m]...)
+		*rowBuf = rows
 		slices.Sort(rows)
 		for _, r := range rows {
 			fs.Fills = append(fs.Fills, layout.Fill{Col: cv.Col.Col, Row: r})
 		}
 	}
 	return nil
-}
-
-// solveGreedyCapped runs the Fig 8 greedy with the footnote's safeguard: an
-// upper bound on each net's added delay. Columns are filled in cost order,
-// but the take is reduced so no bounding net exceeds the cap; the method may
-// therefore place fewer than F features.
-func (e *Engine) solveGreedyCapped(in *Instance) Assignment {
-	a := make(Assignment, len(in.Columns))
-	e.solveGreedyCappedInto(a, in, nil)
-	return a
-}
-
-// solveGreedyCappedInto is solveGreedyCapped writing into a zeroed
-// Assignment, sourcing the sort keys and per-net spend map from sc.
-func (e *Engine) solveGreedyCappedInto(a Assignment, in *Instance, sc *SolveScratch) {
-	capS := e.Cfg.NetCap
-	if capS <= 0 {
-		sc.keysOut(solveGreedyInto(a, in, sc.keysIn()))
-		return
-	}
-	keys := wholeColumnKeys(sc.keysIn(), in)
-	sc.keysOut(keys)
-	spent := sc.spentMap()
-	remaining := in.F
-	for _, kd := range keys {
-		if remaining == 0 {
-			break
-		}
-		cv := &in.Columns[kd.k]
-		take := cv.MaxM
-		if take > remaining {
-			take = remaining
-		}
-		if cv.DeltaC != nil {
-			// Charge the switch-factor-scaled resistances so the cap bounds
-			// the same per-net delay that Evaluate and PerNet report.
-			for take > 0 {
-				dc := cv.DeltaC[take]
-				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= capS
-				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= capS
-				if okLow && okHigh {
-					break
-				}
-				take--
-			}
-			if take > 0 {
-				dc := cv.DeltaC[take]
-				if cv.NetLow >= 0 {
-					spent[cv.NetLow] += dc * cv.REffLow
-				}
-				if cv.NetHigh >= 0 {
-					spent[cv.NetHigh] += dc * cv.REffHigh
-				}
-			}
-		}
-		a[kd.k] = take
-		remaining -= take
-	}
 }
 
 func absI64(v int64) int64 {

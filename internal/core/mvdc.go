@@ -158,6 +158,7 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
 		PerNet: make([]float64, len(e.L.Nets)),
 	}
+	var placeRows []int
 	for i := 0; i < e.Dis.NX; i++ {
 		for j := 0; j < e.Dis.NY; j++ {
 			if err := ctx.Err(); err != nil {
@@ -188,7 +189,7 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 			if err := e.accumulatePerNet(res.PerNet, fr.Instance, a); err != nil {
 				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
 			}
-			if err := e.place(res.Fill, fr.Instance, a, nil); err != nil {
+			if err := e.place(res.Fill, fr.Instance, a, &placeRows); err != nil {
 				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
 			}
 		}
@@ -277,30 +278,34 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 		PerNet: make([]float64, len(e.L.Nets)),
 	}
 	start := time.Now()
+	scs := e.getScratches(1)
+	defer e.putScratches(scs)
+	sc := scs[0]
+	base := e.ilpOpts(ctx)
+	nc := &NetCap{PerNet: perTile}
+	var placeRows []int
 	for _, in := range instances {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: budgeted run interrupted: %w", err)
 		}
 		solveStart := time.Now()
-		a, sol, g, err := solveILPIIFull(in, e.ilpOpts(ctx), &NetCap{PerNet: perTile})
-		if sol != nil {
-			res.ILPNodes += sol.Nodes
-			res.LPPivots += sol.LPPivots
+		a := make(Assignment, len(in.Columns))
+		_, st, err := sc.solveILPII(in, sc.withOpts(base), nc, a)
+		res.ILPNodes += st.nodes
+		res.LPPivots += st.pivots
+		if st.incRepaired {
+			res.IncumbentsRepaired++
 		}
-		if g != nil {
-			if g.IncumbentRepaired {
-				res.IncumbentsRepaired++
-			}
-			if g.IncumbentDropped {
-				res.IncumbentsDropped++
-			}
+		if st.incDropped {
+			res.IncumbentsDropped++
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("core: budgeted run interrupted: %w", ctxErr)
 		}
 		if err != nil {
 			// Infeasible under the caps: place what fits greedily.
-			a = e.greedyUnderPerNetCaps(in, perTile)
+			clear(a)
+			sc.solveGreedyCapped(a, in, 0, perTile)
 		}
 		res.Phases.Solve += time.Since(solveStart)
 		placed := 0
@@ -323,7 +328,7 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
 		}
 		placeStart := time.Now()
-		err = e.place(res.Fill, in, a, nil)
+		err = e.place(res.Fill, in, a, &placeRows)
 		res.Phases.Place += time.Since(placeStart)
 		if err != nil {
 			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
@@ -333,60 +338,4 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 	res.Wall = time.Since(start)
 	res.Phases.Preprocess = e.Prep.Total
 	return res, nil
-}
-
-// greedyUnderPerNetCaps is solveGreedyCapped with per-net budgets.
-func (e *Engine) greedyUnderPerNetCaps(in *Instance, perTile []float64) Assignment {
-	type keyed struct {
-		k   int
-		key float64
-	}
-	keys := make([]keyed, len(in.Columns))
-	for k := range in.Columns {
-		cv := &in.Columns[k]
-		keys[k] = keyed{k: k, key: cv.costAt(cv.MaxM)}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].key != keys[b].key {
-			return keys[a].key < keys[b].key
-		}
-		return keys[a].k < keys[b].k
-	})
-	spent := map[int]float64{}
-	a := make(Assignment, len(in.Columns))
-	remaining := in.F
-	for _, kd := range keys {
-		if remaining == 0 {
-			break
-		}
-		cv := &in.Columns[kd.k]
-		take := cv.MaxM
-		if take > remaining {
-			take = remaining
-		}
-		if cv.DeltaC != nil {
-			// Switch-factor-scaled, matching Evaluate/PerNet accounting.
-			for take > 0 {
-				dc := cv.DeltaC[take]
-				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= perTile[cv.NetLow]
-				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= perTile[cv.NetHigh]
-				if okLow && okHigh {
-					break
-				}
-				take--
-			}
-			if take > 0 {
-				dc := cv.DeltaC[take]
-				if cv.NetLow >= 0 {
-					spent[cv.NetLow] += dc * cv.REffLow
-				}
-				if cv.NetHigh >= 0 {
-					spent[cv.NetHigh] += dc * cv.REffHigh
-				}
-			}
-		}
-		a[kd.k] = take
-		remaining -= take
-	}
-	return a
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +209,137 @@ func TestRunBudgeted(t *testing.T) {
 	// Mismatched length errors.
 	if _, err := eng.RunBudgeted(instances, []float64{1}); err == nil {
 		t.Error("short budget vector accepted")
+	}
+}
+
+// perNetCappedGreedyRef is the pre-merge budget-respecting greedy of
+// RunBudgeted, kept verbatim (as a plain function) as the reference the
+// shared SolveScratch.solveGreedyCapped must reproduce.
+func perNetCappedGreedyRef(in *Instance, perTile []float64) Assignment {
+	type keyed struct {
+		k   int
+		key float64
+	}
+	keys := make([]keyed, len(in.Columns))
+	for k := range in.Columns {
+		cv := &in.Columns[k]
+		keys[k] = keyed{k: k, key: cv.costAt(cv.MaxM)}
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].key != keys[b].key {
+			return keys[a].key < keys[b].key
+		}
+		return keys[a].k < keys[b].k
+	})
+	spent := map[int]float64{}
+	a := make(Assignment, len(in.Columns))
+	remaining := in.F
+	for _, kd := range keys {
+		if remaining == 0 {
+			break
+		}
+		cv := &in.Columns[kd.k]
+		take := cv.MaxM
+		if take > remaining {
+			take = remaining
+		}
+		if cv.DeltaC != nil {
+			// Switch-factor-scaled, matching Evaluate/PerNet accounting.
+			for take > 0 {
+				dc := cv.DeltaC[take]
+				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= perTile[cv.NetLow]
+				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= perTile[cv.NetHigh]
+				if okLow && okHigh {
+					break
+				}
+				take--
+			}
+			if take > 0 {
+				dc := cv.DeltaC[take]
+				if cv.NetLow >= 0 {
+					spent[cv.NetLow] += dc * cv.REffLow
+				}
+				if cv.NetHigh >= 0 {
+					spent[cv.NetHigh] += dc * cv.REffHigh
+				}
+			}
+		}
+		a[kd.k] = take
+		remaining -= take
+	}
+	return a
+}
+
+// TestCappedGreedyMatchesPerNetReference pins the one capped greedy to the
+// reference above on randomized two-sided instances: per-net budgets of
+// zero (which must block fill, not lift the cap), tight, generous and mixed,
+// plus the uniform GreedyCapped cap, which equals a per-net budget of the
+// same value on every net. One warm scratch serves every trial.
+func TestCappedGreedyMatchesPerNetReference(t *testing.T) {
+	const nets = 3
+	rng := rand.New(rand.NewSource(31))
+	sc := NewSolveScratch()
+	var underPlaced, blocked int
+	for trial := 0; trial < 400; trial++ {
+		in := synthInstance(rng, 1+rng.Intn(10))
+		for k := range in.Columns {
+			cv := &in.Columns[k]
+			if cv.DeltaC != nil && rng.Intn(2) == 0 {
+				cv.NetHigh = (cv.NetLow + 1 + rng.Intn(nets-1)) % nets
+				cv.REffHigh = rng.Float64() * 500
+			}
+		}
+		full := SolveGreedy(in)
+		spend := make([]float64, nets)
+		for k, m := range full {
+			cv := &in.Columns[k]
+			if m > 0 && cv.DeltaC != nil {
+				spend[cv.NetLow] += cv.DeltaC[m] * cv.REffLow
+				if cv.NetHigh >= 0 {
+					spend[cv.NetHigh] += cv.DeltaC[m] * cv.REffHigh
+				}
+			}
+		}
+		perTile := make([]float64, nets)
+		for n := range perTile {
+			switch trial % 4 {
+			case 0: // zero: every attributed column is blocked
+			case 1: // tight
+				perTile[n] = spend[n] * rng.Float64()
+			case 2: // generous
+				perTile[n] = 2*spend[n] + 1e-12
+			case 3: // mixed, zero on some nets
+				if rng.Intn(3) > 0 {
+					perTile[n] = spend[n] * (0.2 + rng.Float64())
+				}
+			}
+		}
+		want := perNetCappedGreedyRef(in, perTile)
+		got := make(Assignment, len(in.Columns))
+		sc.solveGreedyCapped(got, in, 0, perTile)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (budgets %v): got %v, reference %v", trial, perTile, got, want)
+		}
+		if placedTotal(want) < in.F {
+			underPlaced++
+			if trial%4 == 0 {
+				blocked++
+			}
+		}
+
+		capS := spend[rng.Intn(nets)] * rng.Float64()
+		if capS <= 0 {
+			continue
+		}
+		uniform := []float64{capS, capS, capS}
+		want = perNetCappedGreedyRef(in, uniform)
+		got = make(Assignment, len(in.Columns))
+		sc.solveGreedyCapped(got, in, capS, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (uniform cap %g): got %v, reference %v", trial, capS, got, want)
+		}
+	}
+	if underPlaced < 100 || blocked < 20 {
+		t.Fatalf("caps barely bound: %d under-placed trials, %d blocked by zero budgets", underPlaced, blocked)
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"pilfill/internal/ilp"
+	"pilfill/internal/layout"
 	"pilfill/internal/scanline"
 )
 
@@ -44,39 +48,108 @@ func requireResultsIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestPooledMatchesUnpooled is the central equivalence guarantee of the
-// zero-allocation path: for every method, the pooled solve path (scratch
-// buffers, assignment slab, reused searcher) produces results bit-identical
-// to the allocating path, serial and parallel alike.
-func TestPooledMatchesUnpooled(t *testing.T) {
+// freshScratchReference solves every instance with the exported per-method
+// wrapper, each on its own fresh SolveScratch, and reduces in instance order
+// exactly as RunContext documents: Evaluate sums, per-net attribution,
+// placement, search effort and dual fallbacks. It is the one-off
+// counterpart of a warm engine run.
+func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Instance) *Result {
+	t.Helper()
+	nc := &NetCap{MaxAddedDelay: eng.Cfg.NetCap}
+	ref := &Result{
+		Method: m,
+		Fill:   &layout.FillSet{Grid: eng.Grid, Layer: eng.Cfg.Layer},
+		PerNet: make([]float64, len(eng.L.Nets)),
+	}
+	var rows []int
+	for _, in := range instances {
+		var a Assignment
+		var sol *ilp.Solution
+		var err error
+		switch m {
+		case Normal:
+			a = SolveNormal(in, rand.New(rand.NewSource(eng.normalSeed(in))))
+		case Greedy:
+			a = SolveGreedy(in)
+		case MarginalGreedy:
+			a = SolveMarginalGreedy(in)
+		case GreedyCapped:
+			a = make(Assignment, len(in.Columns))
+			NewSolveScratch().solveGreedyCapped(a, in, eng.Cfg.NetCap, nil)
+		case DP:
+			a, err = SolveDP(in)
+		case ILPI:
+			a, sol, err = SolveILPI(in, &eng.Cfg.ILPOpts)
+		case ILPII:
+			a, sol, err = SolveILPII(in, &eng.Cfg.ILPOpts, nc)
+		case DualAscent:
+			var fallback bool
+			a, sol, fallback, err = SolveDualAscent(context.Background(), in, &eng.Cfg.ILPOpts, nc, 0)
+			if fallback {
+				ref.DualFallbacks++
+			}
+		}
+		if err != nil {
+			t.Fatalf("%v tile (%d,%d): %v", m, in.I, in.J, err)
+		}
+		if sol != nil {
+			ref.ILPNodes += sol.Nodes
+			ref.LPPivots += sol.LPPivots
+		}
+		u, w, err := in.Evaluate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Unweighted += u
+		ref.Weighted += w
+		ref.Requested += in.F
+		for _, k := range a {
+			ref.Placed += k
+		}
+		ref.Tiles++
+		if err := eng.accumulatePerNet(ref.PerNet, in, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.place(ref.Fill, in, a, &rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref
+}
+
+// TestRunMatchesFreshScratchSolves is the central equivalence guarantee of
+// the steady-state path: for every method, a warm engine run (pooled
+// scratches, assignment slab, reused searcher, LPT fan-out) is bit-identical
+// to solving each tile with the exported wrapper on a fresh scratch, serial
+// and parallel alike.
+func TestRunMatchesFreshScratchSolves(t *testing.T) {
 	eng, budget := buildEngine(t, false, scanline.DefIII)
-	eng.Cfg.NetCap = 1e-13 // give GreedyCapped a binding cap to exercise
+	// 2e-17 s binds GreedyCapped (it under-places) while every tile's ILP-II
+	// program stays feasible; a looser cap would leave the spend map unused.
+	eng.Cfg.NetCap = 2e-17
+	eng.memo = nil // solve every tile: memo replays would skip the scratch path
 	instances := mustInstances(t, eng, budget)
 	if len(instances) == 0 {
 		t.Fatal("no instances")
 	}
 	for _, m := range allMethods {
-		eng.Cfg.NoSolvePool = true
-		eng.Cfg.Workers = 0
-		ref, err := eng.Run(m, instances)
-		if err != nil {
-			t.Fatalf("%v unpooled: %v", m, err)
+		ref := freshScratchReference(t, eng, m, instances)
+		if m == GreedyCapped && ref.Placed == ref.Requested {
+			t.Fatalf("NetCap %g does not bind GreedyCapped", eng.Cfg.NetCap)
 		}
 		for _, workers := range []int{0, 4} {
-			eng.Cfg.NoSolvePool = false
 			eng.Cfg.Workers = workers
-			// Two pooled runs back to back: the second reuses every warmed
-			// buffer, so it also proves reuse does not leak state across runs.
+			// Two runs back to back: the second reuses every warmed buffer,
+			// so it also proves reuse does not leak state across runs.
 			for pass := 0; pass < 2; pass++ {
 				got, err := eng.Run(m, instances)
 				if err != nil {
-					t.Fatalf("%v pooled (workers=%d): %v", m, workers, err)
+					t.Fatalf("%v (workers=%d): %v", m, workers, err)
 				}
 				requireResultsIdentical(t, m.String(), got, ref)
 			}
 		}
 		eng.Cfg.Workers = 0
-		eng.Cfg.NoSolvePool = false
 	}
 }
 

@@ -240,7 +240,7 @@ func TestRepairIncumbentMatchesReference(t *testing.T) {
 
 		aNew := slices.Clone(inc)
 		aRef := slices.Clone(inc)
-		repNew, okNew := repairIncumbent(in, nc, aNew, sc)
+		repNew, okNew := sc.repairIncumbent(in, nc, aNew)
 		repRef, okRef := repairIncumbentRef(in, nc, aRef)
 		if repNew != repRef || okNew != okRef {
 			t.Fatalf("trial %d: verdict (repaired=%v ok=%v), reference (repaired=%v ok=%v)",

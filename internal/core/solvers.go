@@ -10,8 +10,7 @@ import (
 )
 
 // costKey pairs a column index with its sort key. The (key, k) pair is a
-// total order, so every sort algorithm produces the same permutation — the
-// pooled and unpooled greedy paths stay bit-identical.
+// total order, so every sort algorithm produces the same permutation.
 type costKey struct {
 	k   int
 	key float64
@@ -32,10 +31,7 @@ func sortCostKeys(keys []costKey) { slices.SortFunc(keys, cmpCostKey) }
 // wholeColumnKeys fills keys with each column's whole-column fill cost
 // (r̂_k · ΔC(C_k)) sorted ascending — the order Fig 8's greedy consumes.
 func wholeColumnKeys(keys []costKey, in *Instance) []costKey {
-	if cap(keys) < len(in.Columns) {
-		keys = make([]costKey, len(in.Columns))
-	}
-	keys = keys[:len(in.Columns)]
+	keys = grow(keys, len(in.Columns))
 	for k := range in.Columns {
 		cv := &in.Columns[k]
 		keys[k] = costKey{k: k, key: cv.costAt(cv.MaxM)}
@@ -50,24 +46,21 @@ func wholeColumnKeys(keys []costKey, in *Instance) []costKey {
 // would. The rng seed makes runs reproducible.
 func SolveNormal(in *Instance, rng *rand.Rand) Assignment {
 	a := make(Assignment, len(in.Columns))
-	solveNormalInto(a, in, rng, nil)
+	NewSolveScratch().solveNormal(a, in, rng)
 	return a
 }
 
-// solveNormalInto is SolveNormal writing into a zeroed Assignment, reusing
-// the slots buffer; the possibly-regrown buffer is returned for the caller
-// to retain.
-func solveNormalInto(a Assignment, in *Instance, rng *rand.Rand, slots []int) []int {
+// solveNormal is SolveNormal writing into a zeroed Assignment, sampling over
+// the scratch's slot buffer.
+func (sc *SolveScratch) solveNormal(a Assignment, in *Instance, rng *rand.Rand) {
 	total := in.TotalCapacity()
 	if in.F <= 0 || total == 0 {
-		return slots
+		return
 	}
 	// Sample F distinct sites out of `total` with a partial Fisher-Yates
 	// over the implicit site array, then count per column.
-	if cap(slots) < total {
-		slots = make([]int, total)
-	}
-	slots = slots[:total]
+	sc.slots = grow(sc.slots, total)
+	slots := sc.slots
 	idx := 0
 	for k := range in.Columns {
 		for m := 0; m < in.Columns[k].MaxM; m++ {
@@ -80,7 +73,6 @@ func solveNormalInto(a Assignment, in *Instance, rng *rand.Rand, slots []int) []
 		slots[i], slots[j] = slots[j], slots[i]
 		a[slots[i]]++
 	}
-	return slots
 }
 
 // SolveGreedy is Fig 8's method: columns are sorted by the delay cost of
@@ -88,16 +80,16 @@ func solveNormalInto(a Assignment, in *Instance, rng *rand.Rand, slots []int) []
 // columns in ascending cost order until the budget is exhausted.
 func SolveGreedy(in *Instance) Assignment {
 	a := make(Assignment, len(in.Columns))
-	solveGreedyInto(a, in, nil)
+	NewSolveScratch().solveGreedy(a, in)
 	return a
 }
 
-// solveGreedyInto is SolveGreedy writing into a zeroed Assignment, reusing
-// the keys buffer; the possibly-regrown buffer is returned.
-func solveGreedyInto(a Assignment, in *Instance, keys []costKey) []costKey {
-	keys = wholeColumnKeys(keys, in)
+// solveGreedy is SolveGreedy writing into a zeroed Assignment, sorting in
+// the scratch's key buffer.
+func (sc *SolveScratch) solveGreedy(a Assignment, in *Instance) {
+	sc.keys = wholeColumnKeys(sc.keys, in)
 	remaining := in.F
-	for _, kd := range keys {
+	for _, kd := range sc.keys {
 		if remaining == 0 {
 			break
 		}
@@ -108,7 +100,58 @@ func solveGreedyInto(a Assignment, in *Instance, keys []costKey) []costKey {
 		a[kd.k] = take
 		remaining -= take
 	}
-	return keys
+}
+
+// solveGreedyCapped runs the Fig 8 greedy with the footnote's safeguard: an
+// upper bound on each net's added delay. Columns are filled in cost order,
+// but the take is reduced so no bounding net exceeds its cap; the method may
+// therefore place fewer than F features. The cap is perNet[net] when perNet
+// is set (RunBudgeted's per-tile split, where 0 blocks the net entirely) and
+// the uniform capS otherwise. a must be zeroed.
+func (sc *SolveScratch) solveGreedyCapped(a Assignment, in *Instance, capS float64, perNet []float64) {
+	capOf := func(net int) float64 {
+		if perNet != nil {
+			return perNet[net]
+		}
+		return capS
+	}
+	sc.keys = wholeColumnKeys(sc.keys, in)
+	spent := sc.spentMap()
+	remaining := in.F
+	for _, kd := range sc.keys {
+		if remaining == 0 {
+			break
+		}
+		cv := &in.Columns[kd.k]
+		take := cv.MaxM
+		if take > remaining {
+			take = remaining
+		}
+		if cv.DeltaC != nil {
+			// Charge the switch-factor-scaled resistances so the cap bounds
+			// the same per-net delay that Evaluate and PerNet report.
+			for take > 0 {
+				dc := cv.DeltaC[take]
+				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= capOf(cv.NetLow)
+				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= capOf(cv.NetHigh)
+				if okLow && okHigh {
+					break
+				}
+				take--
+			}
+			if take > 0 {
+				dc := cv.DeltaC[take]
+				if cv.NetLow >= 0 {
+					spent[cv.NetLow] += dc * cv.REffLow
+				}
+				if cv.NetHigh >= 0 {
+					spent[cv.NetHigh] += dc * cv.REffHigh
+				}
+			}
+		}
+		a[kd.k] = take
+		remaining -= take
+	}
 }
 
 // marginalItem is a heap entry: the cost of the next feature in a column.
@@ -127,10 +170,9 @@ func (h marginalHeap) Less(a, b int) bool {
 	}
 	return h[a].k < h[b].k
 }
-func (h marginalHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *marginalHeap) Push(x any)         { *h = append(*h, x.(marginalItem)) }
-func (h *marginalHeap) Pop() any           { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h marginalHeap) Peek() *marginalItem { return &h[0] }
+func (h marginalHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *marginalHeap) Push(x any)   { *h = append(*h, x.(marginalItem)) }
+func (h *marginalHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // pushItem and popItem are heap.Push/heap.Pop without the interface{}
 // boxing (which allocates per item). heap.Fix performs the identical
@@ -160,16 +202,14 @@ func (h *marginalHeap) popItem() marginalItem {
 // coarser granularity.
 func SolveMarginalGreedy(in *Instance) Assignment {
 	a := make(Assignment, len(in.Columns))
-	var h marginalHeap
-	solveMarginalGreedyInto(a, in, &h)
+	NewSolveScratch().solveMarginalGreedy(a, in)
 	return a
 }
 
-// solveMarginalGreedyInto is SolveMarginalGreedy writing into a zeroed
-// Assignment. The heap buffer is passed by pointer (not value-in/value-out)
-// so the slice header never escapes — with a scratch-owned buffer the warm
-// path is allocation-free.
-func solveMarginalGreedyInto(a Assignment, in *Instance, hp *marginalHeap) {
+// solveMarginalGreedy is SolveMarginalGreedy writing into a zeroed
+// Assignment over the scratch's marginal heap.
+func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance) {
+	hp := &sc.mheap
 	h := (*hp)[:0]
 	for k := range in.Columns {
 		if in.Columns[k].MaxM > 0 {
@@ -208,47 +248,30 @@ func SolveDP(in *Instance) (Assignment, error) {
 // cancel to one column's O(F·maxM) row.
 func SolveDPContext(ctx context.Context, in *Instance) (Assignment, error) {
 	a := make(Assignment, len(in.Columns))
-	if err := solveDPInto(ctx, a, in, nil); err != nil {
+	if err := NewSolveScratch().solveDP(ctx, a, in); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// solveDPInto is the DP table fill writing into a caller-owned Assignment,
-// sourcing the dp rows and choice table from sc when non-nil.
-func solveDPInto(ctx context.Context, a Assignment, in *Instance, sc *SolveScratch) error {
+// solveDP is the DP table fill writing into a caller-owned Assignment,
+// sourcing the dp rows and the choice table (choice[k][f] = m chosen for
+// column k at budget f) from the scratch.
+func (sc *SolveScratch) solveDP(ctx context.Context, a Assignment, in *Instance) error {
 	kn := len(in.Columns)
 	if int64(kn)*int64(in.F+1) > DPMaxStates {
 		return fmt.Errorf("core: DP instance too large (%d columns × %d budget)", kn, in.F)
 	}
 	const inf = math.MaxFloat64
-	var dp, next []float64
-	var choice [][]int32
-	if sc != nil {
-		sc.dpA = growFloats(sc.dpA, in.F+1)
-		sc.dpB = growFloats(sc.dpB, in.F+1)
-		dp, next = sc.dpA, sc.dpB
-		if cap(sc.choiceRows) < kn {
-			sc.choiceRows = make([][]int32, kn)
-		}
-		sc.choiceRows = sc.choiceRows[:kn]
-		need := kn * (in.F + 1)
-		if cap(sc.choiceArena) < need {
-			sc.choiceArena = make([]int32, need)
-		}
-		sc.choiceArena = sc.choiceArena[:need]
-		for k := 0; k < kn; k++ {
-			sc.choiceRows[k] = sc.choiceArena[k*(in.F+1) : (k+1)*(in.F+1)]
-		}
-		choice = sc.choiceRows
-	} else {
-		dp = make([]float64, in.F+1)
-		next = make([]float64, in.F+1)
-		choice = make([][]int32, kn) // choice[k][f] = m chosen for column k at budget f
-		for k := 0; k < kn; k++ {
-			choice[k] = make([]int32, in.F+1)
-		}
+	sc.dpA = grow(sc.dpA, in.F+1)
+	sc.dpB = grow(sc.dpB, in.F+1)
+	dp, next := sc.dpA, sc.dpB
+	sc.choiceRows = grow(sc.choiceRows, kn)
+	sc.choiceArena = grow(sc.choiceArena, kn*(in.F+1))
+	for k := 0; k < kn; k++ {
+		sc.choiceRows[k] = sc.choiceArena[k*(in.F+1) : (k+1)*(in.F+1)]
 	}
+	choice := sc.choiceRows
 	dp[0] = 0
 	for f := 1; f <= in.F; f++ {
 		dp[f] = inf
