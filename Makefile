@@ -4,9 +4,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X pilfill/internal/obs.Version=$(VERSION)"
 
-.PHONY: ci fmt vet build test race cluster-smoke bench bench-solver bench-solver-short bench-engine bench-engine-short bench-chip bench-chip-short trace-smoke cluster-trace-smoke serve
+.PHONY: ci fmt vet bench-vet build test race cluster-smoke bench bench-solver bench-solver-short bench-engine bench-engine-short bench-chip bench-chip-short trace-smoke cluster-trace-smoke serve
 
-ci: fmt vet build test race cluster-smoke trace-smoke cluster-trace-smoke bench-solver-short bench-engine-short bench-chip-short
+ci: fmt vet bench-vet build test race cluster-smoke trace-smoke cluster-trace-smoke bench-solver-short bench-engine-short bench-chip-short
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -14,6 +14,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# cmd/bench is its own module (frozen benchmark driver), so ./... above never
+# compiles it: vet and test it here, so an API rename in the library breaks CI
+# instead of the benchmark.
+bench-vet:
+	cd cmd/bench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build $(LDFLAGS) ./...

@@ -13,7 +13,6 @@ import (
 	"pilfill"
 	"pilfill/internal/core"
 	"pilfill/internal/density"
-	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/server"
 	"pilfill/internal/shard"
@@ -204,32 +203,6 @@ func PrepareChip(job ChipJob) (*Prep, error) {
 	}, nil
 }
 
-// engineConfig mirrors the worker's regionTask config so the reference run
-// solves under exactly the knobs a worker would use.
-func engineConfig(j *ChipJob) (core.Config, error) {
-	o := j.Options
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
-	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return core.Config{}, fmt.Errorf("cluster: slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	cfg := core.Config{
-		Layer:       j.Layer,
-		Def:         pilfill.SlackDef(o.SlackDef),
-		Weighted:    o.Weighted,
-		Seed:        o.Seed,
-		NetCap:      o.NetCapPS * 1e-12,
-		Workers:     max(1, o.Workers),
-		Grounded:    o.Grounded,
-		NoSolveMemo: o.NoSolveMemo,
-	}
-	if o.ILPNodeLimit > 0 {
-		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-	}
-	return cfg, nil
-}
-
 // RunChipLocal is the single-process run of a prepared chip: one whole-chip
 // engine, one masked-budget solve per region in region-index order, gathered
 // through the same MergeRegions the coordinator uses. This is the reference
@@ -241,10 +214,16 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown method %q", prep.Job.Method)
 	}
-	cfg, err := engineConfig(&prep.Job)
+	opts, err := prep.Job.Options.SessionOptions()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	// The worker's regionTask config, minus its progress hook and tracer;
+	// the local run keeps at least one solve worker instead of the daemon's
+	// CPU-share clamp.
+	cfg := opts.EngineConfig()
+	cfg.Layer = prep.Job.Layer
+	cfg.Workers = max(1, cfg.Workers)
 	eng, err := core.NewEngine(prep.Layout, prep.Dis, prep.Rule, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reference engine: %w", err)
@@ -259,7 +238,7 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: region %s: %w", reg.Owned, err)
 		}
-		payloads[n] = localRegionPayload(reg.ID(prep.Plan.GX, prep.Plan.GY), prep.Layout, res)
+		payloads[n] = server.NewRegionPayload(reg.ID(prep.Plan.GX, prep.Plan.GY), prep.Layout, res, 0, 0)
 	}
 	rep, err := MergeRegions(prep.NetNames, payloads)
 	if err != nil {
@@ -268,38 +247,4 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	rep.Method = m.String()
 	rep.BudgetAchievedMin = prep.Achieved
 	return rep, nil
-}
-
-// localRegionPayload converts an in-process region result (already in chip
-// coordinates) to the wire payload shape, so local and clustered runs merge
-// through identical code.
-func localRegionPayload(id string, l *layout.Layout, res *core.Result) *server.RegionPayload {
-	rp := &server.RegionPayload{
-		ID:         id,
-		Tiles:      res.Tiles,
-		Requested:  res.Requested,
-		Placed:     res.Placed,
-		ILPNodes:   res.ILPNodes,
-		LPPivots:   res.LPPivots,
-		Repaired:   res.IncumbentsRepaired,
-		Dropped:    res.IncumbentsDropped,
-		Unweighted: res.Unweighted,
-		Weighted:   res.Weighted,
-		Fills:      make([][2]int, 0, len(res.Fill.Fills)),
-	}
-	fh := server.NewFillHasher()
-	for _, f := range res.Fill.Fills {
-		rp.Fills = append(rp.Fills, [2]int{f.Col, f.Row})
-		fh.Add(f.Col, f.Row)
-	}
-	rp.FillHash = fh.Sum()
-	for n, v := range res.PerNet {
-		if v != 0 {
-			if rp.PerNet == nil {
-				rp.PerNet = make(map[string]float64)
-			}
-			rp.PerNet[l.Nets[n].Name] = v
-		}
-	}
-	return rp
 }

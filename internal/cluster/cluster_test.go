@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -146,10 +148,12 @@ func TestLocalReferenceMatchesWholeRun(t *testing.T) {
 		t.Fatalf("RunChipLocal: %v", err)
 	}
 
-	cfg, err := engineConfig(&prep.Job)
+	opts, err := prep.Job.Options.SessionOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := opts.EngineConfig()
+	cfg.Workers = max(1, cfg.Workers)
 	eng, err := core.NewEngine(prep.Layout, prep.Dis, prep.Rule, cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -206,10 +210,36 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	k.inner.ServeHTTP(w, r)
 }
 
+// namedWorkers addresses servers as http://worker-0..n-1 and returns a
+// client whose transport dials each name's httptest listener, so rendezvous
+// placement — which hashes the worker URLs — depends on the inputs alone,
+// never on the ports the kernel handed out.
+func namedWorkers(servers ...*httptest.Server) ([]string, *http.Client) {
+	urls := make([]string, len(servers))
+	addrs := make(map[string]string, len(servers))
+	for i, ts := range servers {
+		name := fmt.Sprintf("worker-%d", i)
+		urls[i] = "http://" + name
+		addrs[name+":80"] = ts.Listener.Addr().String()
+	}
+	var dialer net.Dialer
+	return urls, &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			hostPort, ok := addrs[addr]
+			if !ok {
+				return nil, fmt.Errorf("no worker at %s", addr)
+			}
+			return dialer.DialContext(ctx, network, hostPort)
+		},
+	}}
+}
+
 // TestClusterSurvivesWorkerKill is the fault-injection e2e: one of three
 // workers dies mid-region (job accepted, then the worker stops answering);
 // the coordinator's retry resubmits the region elsewhere under the same
-// idempotency key and the merged report stays bit-identical.
+// idempotency key and the merged report stays bit-identical. The workers
+// have fixed names, so whether the killable one is some region's first
+// choice is a property of the test inputs, checked before the run.
 func TestClusterSurvivesWorkerKill(t *testing.T) {
 	ks := &killSwitch{}
 	ks.armed.Store(true)
@@ -217,11 +247,18 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 		ks.inner = h
 		return ks
 	})
-	workers := []string{killable.URL, newWorker(t, nil).URL, newWorker(t, nil).URL}
+	workers, client := namedWorkers(killable, newWorker(t, nil), newWorker(t, nil))
 
 	prep, err := PrepareChip(testChip("greedy", 3, 2))
 	if err != nil {
 		t.Fatalf("PrepareChip: %v", err)
+	}
+	placed := false
+	for _, jb := range prep.Jobs {
+		placed = placed || rendezvous(workers, regionKey(jb, &prep.Job))[0] == workers[0]
+	}
+	if !placed {
+		t.Fatalf("no region ranks %s first; the kill switch could never fire", workers[0])
 	}
 	want, err := RunChipLocal(context.Background(), prep)
 	if err != nil {
@@ -231,6 +268,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord, err := New(Config{
 		Workers:      workers,
+		Client:       client,
 		PollInterval: 5 * time.Millisecond,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,
@@ -387,6 +425,11 @@ func TestRegionKey(t *testing.T) {
 	prep, err := PrepareChip(testChip("greedy", 2, 2))
 	if err != nil {
 		t.Fatalf("PrepareChip: %v", err)
+	}
+	// Pinned: regions.wal entries written before a change to regionKey or
+	// to the SubmitOptions wire form would no longer dedupe.
+	if k := regionKey(prep.Jobs[0], &prep.Job); k != "region-06dbd59a8c099256-fcfb43e0ffdf5205" {
+		t.Fatalf("regionKey = %s, want the pinned key", k)
 	}
 	keys := map[string]bool{}
 	for _, jb := range prep.Jobs {

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"pilfill/internal/core"
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/obs"
+	"pilfill/internal/testcases"
 )
 
 // SubmitRequest is the body of POST /v1/jobs. Exactly one of Testcase and
@@ -61,6 +63,56 @@ type SubmitOptions struct {
 	// payload (ReportPayload.Trace), letting a coordinator merge worker spans
 	// into one cluster-wide Chrome trace.
 	CollectTrace bool `json:"collect_trace,omitempty"`
+}
+
+// SessionOptions resolves the submitted knobs to the library options a job
+// runs with: it applies the window (32 W), r (4) and slackdef (III)
+// defaults, rejects values out of range, and converts units (W to nm, ps to
+// s). It is the one translation of the wire form. Whole-layout jobs hand the
+// result to pilfill.NewSession; region jobs and the cluster's local
+// reference run take their engine config from its EngineConfig, so a knob
+// cannot reach one path and miss the other.
+func (o SubmitOptions) SessionOptions() (pilfill.Options, error) {
+	if o.Window == 0 {
+		o.Window = 32
+	}
+	if o.R == 0 {
+		o.R = 4
+	}
+	if o.SlackDef == 0 {
+		o.SlackDef = 3
+	}
+	if o.SlackDef < 1 || o.SlackDef > 3 {
+		return pilfill.Options{}, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
+	}
+	opts := pilfill.Options{
+		Window:       testcases.WindowNM(o.Window),
+		R:            o.R,
+		Rule:         pilfill.DefaultRuleT1T2(),
+		Weighted:     o.Weighted,
+		Def:          pilfill.SlackDef(o.SlackDef),
+		Seed:         o.Seed,
+		NetCap:       o.NetCapPS * 1e-12,
+		Workers:      o.Workers,
+		Grounded:     o.Grounded,
+		ILPNodeLimit: o.ILPNodeLimit,
+		NoSolveMemo:  o.NoSolveMemo,
+		DualGapTol:   o.DualGapTol,
+	}
+	if opts.Window <= 0 || opts.R <= 0 {
+		return pilfill.Options{}, fmt.Errorf("window %d and r %d must be positive", o.Window, o.R)
+	}
+	return opts, nil
+}
+
+// tracer returns a fresh span buffer when the submission asked for its
+// spans (CollectTrace), nil otherwise. Tasks call it when they start, so a
+// queued job holds no buffer.
+func (o SubmitOptions) tracer() *obs.Tracer {
+	if !o.CollectTrace {
+		return nil
+	}
+	return obs.NewTracer(0)
 }
 
 // JobView is the response of POST /v1/jobs, GET /v1/jobs/{id} and
@@ -175,9 +227,28 @@ type MemoPayload struct {
 // serialization of a Report — the daemon's GET response and the CLI's -json
 // output both go through it.
 func BuildReport(s *pilfill.Session, rep *pilfill.Report) *ReportPayload {
-	res := rep.Result
+	p := resultReport(rep.Result, max(1, s.Engine.Cfg.Workers))
+	p.Density = DensityPayload{
+		MinBefore: rep.MinBefore,
+		MaxBefore: rep.MaxBefore,
+		MinAfter:  rep.MinAfter,
+		MaxAfter:  rep.MaxAfter,
+	}
+	if cs := s.CacheStats(); cs.Hits+cs.Misses > 0 {
+		p.Cache = &CachePayload{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
+	}
+	if ms := s.MemoStats(); ms.Hits+ms.Misses > 0 {
+		p.Memo = &MemoPayload{Hits: ms.Hits, Misses: ms.Misses, Stored: ms.Stored, Entries: ms.Entries}
+	}
+	return p
+}
+
+// resultReport fills the payload fields a run's Result determines on its
+// own — the part whole-layout and region reports share, so both feed the
+// worker metrics the same figures.
+func resultReport(res *core.Result, workers int) *ReportPayload {
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	p := &ReportPayload{
+	return &ReportPayload{
 		Method:        res.Method.String(),
 		Requested:     res.Requested,
 		Placed:        res.Placed,
@@ -189,28 +260,16 @@ func BuildReport(s *pilfill.Session, rep *pilfill.Report) *ReportPayload {
 		WeightedPS:    res.Weighted * 1e12,
 		SolveCPUMS:    ms(res.CPU),
 		WallMS:        ms(res.Wall),
-		Workers:       max(1, s.Engine.Cfg.Workers),
+		Workers:       workers,
 		PhasesMS: PhasesPayload{
 			Preprocess: ms(res.Phases.Preprocess),
 			Solve:      ms(res.Phases.Solve),
 			Evaluate:   ms(res.Phases.Evaluate),
 			Place:      ms(res.Phases.Place),
 		},
-		Density: DensityPayload{
-			MinBefore: rep.MinBefore,
-			MaxBefore: rep.MaxBefore,
-			MinAfter:  rep.MinAfter,
-			MaxAfter:  rep.MaxAfter,
-		},
+		MemoHits:   res.MemoHits,
+		MemoMisses: res.MemoMisses,
 	}
-	if cs := s.CacheStats(); cs.Hits+cs.Misses > 0 {
-		p.Cache = &CachePayload{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
-	}
-	p.MemoHits, p.MemoMisses = res.MemoHits, res.MemoMisses
-	if ms := s.MemoStats(); ms.Hits+ms.Misses > 0 {
-		p.Memo = &MemoPayload{Hits: ms.Hits, Misses: ms.Misses, Stored: ms.Stored, Entries: ms.Entries}
-	}
-	return p
 }
 
 // ParseMethod resolves the CLI/API method spellings (case-insensitive).

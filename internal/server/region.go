@@ -18,12 +18,10 @@ import (
 	"hash"
 	"hash/fnv"
 	"strings"
-	"time"
 
 	"pilfill"
 	"pilfill/internal/core"
 	"pilfill/internal/density"
-	"pilfill/internal/ilp"
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
@@ -178,14 +176,15 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 	if err != nil {
 		return nil, err
 	}
+	opts, err := req.Options.SessionOptions()
+	if err != nil {
+		return nil, err
+	}
+	base := opts.EngineConfig()
+	base.Layer = spec.Layer
+	base.TileOffI, base.TileOffJ = spec.TileOffI, spec.TileOffJ
+	base.Workers = EffectiveWorkers(base.Workers, queueWorkers)
 	o := req.Options
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
-	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return nil, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	o.Workers = EffectiveWorkers(o.Workers, queueWorkers)
 	defText := req.DEF
 
 	return func(ctx context.Context, setPhase func(string)) (any, error) {
@@ -212,28 +211,9 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 		}
 
 		setPhase("prepare")
-		cfg := core.Config{
-			Layer:       spec.Layer,
-			Def:         pilfill.SlackDef(o.SlackDef),
-			Weighted:    o.Weighted,
-			Seed:        o.Seed,
-			NetCap:      o.NetCapPS * 1e-12,
-			DualGapTol:  o.DualGapTol,
-			Workers:     o.Workers,
-			Grounded:    o.Grounded,
-			NoSolveMemo: o.NoSolveMemo,
-			TileOffI:    spec.TileOffI,
-			TileOffJ:    spec.TileOffJ,
-			OnTile:      tracker.onTile,
-		}
-		if o.ILPNodeLimit > 0 {
-			cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-		}
-		var tr *obs.Tracer
-		if o.CollectTrace {
-			tr = obs.NewTracer(0)
-			cfg.Trace = tr
-		}
+		cfg := base
+		cfg.Trace = o.tracer()
+		cfg.OnTile = tracker.onTile
 		eng, err := core.NewEngine(l, dis, rule, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("region engine: %w", err)
@@ -265,8 +245,8 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 			return nil, err
 		}
 		setPhase("report")
-		rep := buildRegionReport(&spec, l, res, o.Workers)
-		rep.Trace = tr.Dump("pilfilld/" + spec.ID)
+		rep := buildRegionReport(&spec, l, res, cfg.Workers)
+		rep.Trace = cfg.Trace.Dump("pilfilld/" + spec.ID)
 		return rep, nil
 	}, nil
 }
@@ -275,9 +255,19 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 // top-level figures (so worker metrics and job views read normally) plus the
 // RegionPayload merge inputs in chip coordinates.
 func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, workers int) *ReportPayload {
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	p := resultReport(res, workers)
+	p.Region = NewRegionPayload(spec.ID, l, res, spec.ColOff, spec.RowOff)
+	return p
+}
+
+// NewRegionPayload converts a region run's result to the merge inputs, with
+// fill sites shifted by (colOff, rowOff) into chip coordinates and per-net
+// subtotals keyed by the names of l's nets. Workers and the cluster's local
+// reference run both build their payloads here, so the two merge identical
+// data.
+func NewRegionPayload(id string, l *layout.Layout, res *core.Result, colOff, rowOff int) *RegionPayload {
 	rp := &RegionPayload{
-		ID:         spec.ID,
+		ID:         id,
 		Tiles:      res.Tiles,
 		Requested:  res.Requested,
 		Placed:     res.Placed,
@@ -292,7 +282,7 @@ func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, wor
 	}
 	fh := NewFillHasher()
 	for _, f := range res.Fill.Fills {
-		col, row := f.Col+spec.ColOff, f.Row+spec.RowOff
+		col, row := f.Col+colOff, f.Row+rowOff
 		rp.Fills = append(rp.Fills, [2]int{col, row})
 		fh.Add(col, row)
 	}
@@ -305,26 +295,5 @@ func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, wor
 			rp.PerNet[l.Nets[n].Name] = v
 		}
 	}
-	return &ReportPayload{
-		Method:       res.Method.String(),
-		Requested:    res.Requested,
-		Placed:       res.Placed,
-		Tiles:        res.Tiles,
-		ILPNodes:     res.ILPNodes,
-		LPPivots:     res.LPPivots,
-		UnweightedPS: res.Unweighted * 1e12,
-		WeightedPS:   res.Weighted * 1e12,
-		SolveCPUMS:   ms(res.CPU),
-		WallMS:       ms(res.Wall),
-		Workers:      workers,
-		PhasesMS: PhasesPayload{
-			Preprocess: ms(res.Phases.Preprocess),
-			Solve:      ms(res.Phases.Solve),
-			Evaluate:   ms(res.Phases.Evaluate),
-			Place:      ms(res.Phases.Place),
-		},
-		MemoHits:   res.MemoHits,
-		MemoMisses: res.MemoMisses,
-		Region:     rp,
-	}
+	return rp
 }

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -46,7 +47,6 @@ import (
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
-	"pilfill/internal/testcases"
 )
 
 // Config parameterizes a Server.
@@ -294,15 +294,25 @@ func (s *Server) methodLabel(id string) string {
 	return s.methods[id]
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit parses a POST /v1/jobs body; unknown fields are an error, so
+// a misspelled option fails loudly instead of silently taking its default.
+func decodeSubmit(r io.Reader) (*SubmitRequest, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	task, err := s.factory(&req)
+	task, err := s.factory(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -345,7 +355,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if req.Key != "" && s.wal != nil {
-		payload, merr := json.Marshal(&req)
+		payload, merr := json.Marshal(req)
 		if merr == nil {
 			merr = s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALAccept, Key: req.Key, Payload: payload})
 		}
@@ -470,25 +480,6 @@ func EffectiveWorkers(requested, queueWorkers int) int {
 	return requested
 }
 
-// DefaultTask is DefaultTaskFactory for a single-worker queue — kept for
-// callers that construct tasks directly.
-func DefaultTask(req *SubmitRequest) (jobqueue.Task, error) {
-	return defaultTask(req, 1, nil)
-}
-
-// DefaultTaskFactory returns the production task factory for a queue running
-// queueWorkers jobs concurrently. Each job's tile-solver worker count is
-// resolved with EffectiveWorkers so the daemon's total parallelism stays
-// within GOMAXPROCS; the resolved value appears as "workers" in the job
-// report. (A server built by New wires its own factory so the live tile
-// counter feeds pilfilld_progress_tiles_total; this exported form counts
-// nothing.)
-func DefaultTaskFactory(queueWorkers int) func(req *SubmitRequest) (jobqueue.Task, error) {
-	return func(req *SubmitRequest) (jobqueue.Task, error) {
-		return defaultTask(req, queueWorkers, nil)
-	}
-}
-
 // defaultTask validates the request up-front (so bad submissions fail with
 // 400 instead of a Failed job) and returns a task that loads the layout,
 // prepares a session, and runs the method under the job's context.
@@ -513,20 +504,11 @@ func defaultTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counte
 			return nil, fmt.Errorf("unknown testcase %q (want T1 or T2)", req.Testcase)
 		}
 	}
-	o := req.Options
-	if o.Window == 0 {
-		o.Window = 32
+	opts, err := req.Options.SessionOptions()
+	if err != nil {
+		return nil, err
 	}
-	if o.R == 0 {
-		o.R = 4
-	}
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
-	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return nil, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	o.Workers = EffectiveWorkers(o.Workers, queueWorkers)
+	opts.Workers = EffectiveWorkers(opts.Workers, queueWorkers)
 	reqCopy := *req // detach from the handler's request lifetime
 
 	return func(ctx context.Context, setPhase func(string)) (any, error) {
@@ -556,26 +538,10 @@ func defaultTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counte
 		}
 
 		setPhase("prepare")
-		var tr *obs.Tracer
-		if o.CollectTrace {
-			tr = obs.NewTracer(0)
-		}
-		sess, err := pilfill.NewSession(l, pilfill.Options{
-			Window:       testcases.WindowNM(o.Window),
-			R:            o.R,
-			Rule:         pilfill.DefaultRuleT1T2(),
-			Weighted:     o.Weighted,
-			Def:          pilfill.SlackDef(o.SlackDef),
-			Seed:         o.Seed,
-			NetCap:       o.NetCapPS * 1e-12,
-			Workers:      o.Workers,
-			Grounded:     o.Grounded,
-			ILPNodeLimit: o.ILPNodeLimit,
-			NoSolveMemo:  o.NoSolveMemo,
-			DualGapTol:   o.DualGapTol,
-			Trace:        tr,
-			OnTile:       tracker.onTile,
-		})
+		opts := opts
+		opts.Trace = reqCopy.Options.tracer()
+		opts.OnTile = tracker.onTile
+		sess, err := pilfill.NewSession(l, opts)
 		if err != nil {
 			return nil, fmt.Errorf("prepare session: %w", err)
 		}
@@ -591,7 +557,7 @@ func defaultTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counte
 		}
 		setPhase("report")
 		payload := BuildReport(sess, rep)
-		payload.Trace = tr.Dump("pilfilld")
+		payload.Trace = opts.Trace.Dump("pilfilld")
 		return payload, nil
 	}, nil
 }

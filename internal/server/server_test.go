@@ -278,6 +278,8 @@ func TestValidationAndNotFound(t *testing.T) {
 		{Testcase: "T9", Method: "Greedy"},           // bad testcase
 		{Testcase: "T1", Method: "Sorcery"},          // bad method
 		{Testcase: "T1", Method: "Greedy", Options: server.SubmitOptions{SlackDef: 7}}, // bad slackdef
+		{Testcase: "T1", Method: "Greedy", Options: server.SubmitOptions{Window: -32}}, // negative window
+		{Testcase: "T1", Method: "Greedy", Options: server.SubmitOptions{R: -4}},       // negative r
 	}
 	for i, req := range cases {
 		if code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req); code != http.StatusBadRequest {

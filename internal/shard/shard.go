@@ -5,9 +5,12 @@
 //
 // Two locality radii drive the decomposition:
 //
-//   - Density windows are R×R tile blocks, so a region's FFTBudget inputs are
-//     exact once it sees a halo of R-1 tiles around its owned rectangle: every
-//     window overlapping an owned tile lies inside owned+halo (see budget.go).
+//   - Density windows are R×R tile blocks, so every window overlapping an
+//     owned tile lies inside the owned rectangle plus a halo of R-1 tiles.
+//     The fill budget itself is not sharded: the coordinator budgets the
+//     whole chip once and each Job carries its owned slice. The halo sizes
+//     the stripe geometry below and keeps every stripe at least R tiles
+//     wide, so a dissection over it is valid.
 //   - Slack-column extraction (scanline.DefIII) bounds a column's vertical gap
 //     by lines anywhere in the die's Y range, so region geometry is cut as a
 //     full-height vertical stripe: the stripe spans the whole die in Y and the
@@ -58,7 +61,8 @@ func (r TileRect) String() string {
 
 // Region is one cell of the coarse region grid: the tiles it owns (every
 // tile is owned by exactly one region) and its halo-extended rectangle (the
-// tiles whose state it must see to budget its owned tiles exactly).
+// support of every density window touching an owned tile, which sizes the
+// region's stripe).
 type Region struct {
 	// Index is the region's position in the canonical scatter/gather order:
 	// stripe columns left to right, regions bottom to top within a column

@@ -1,14 +1,12 @@
 package shard
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"pilfill/internal/def"
 	"pilfill/internal/density"
-	"pilfill/internal/geom"
 	"pilfill/internal/layout"
 	"pilfill/internal/testcases"
 )
@@ -59,82 +57,6 @@ func TestPartitionExactCover(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("nx=%d ny=%d r=%d gx=%d gy=%d: tile (%d,%d) owned %d times",
 					nx, ny, r, gx, gy, tt/ny, tt%ny, c)
-			}
-		}
-	}
-}
-
-// randomGrid builds a synthetic density.Grid: a tile-aligned die with random
-// drawn areas and slacks. FFTBudget only reads the dissection, per-tile
-// areas/slacks and the feature area, so no layout is needed.
-func randomGrid(rng *rand.Rand, nxTiles, nyTiles, r int) *density.Grid {
-	tile := int64(3200)
-	window := tile * int64(r)
-	die := geom.Rect{X1: 0, Y1: 0, X2: int64(nxTiles) * tile, Y2: int64(nyTiles) * tile}
-	dis, err := layout.NewDissection(die, window, r)
-	if err != nil {
-		panic(err)
-	}
-	g := &density.Grid{
-		D:           dis,
-		TileArea:    make([][]int64, dis.NX),
-		TileSlack:   make([][]int, dis.NX),
-		FeatureArea: 150 * 150,
-	}
-	tileArea := tile * tile
-	for i := 0; i < dis.NX; i++ {
-		g.TileArea[i] = make([]int64, dis.NY)
-		g.TileSlack[i] = make([]int, dis.NY)
-		for j := 0; j < dis.NY; j++ {
-			g.TileArea[i][j] = int64(rng.Float64() * 0.25 * float64(tileArea))
-			g.TileSlack[i][j] = rng.Intn(400)
-		}
-	}
-	return g
-}
-
-// TestBudgetShardedMatchesFFTBudget holds the sharded budgeter to the
-// whole-chip one: identical budgets feature for feature, achieved minimum
-// effective density within 1e-12, across kernels and region-grid shapes
-// (including single-region, stripes-only, and 2-D grids with interior
-// regions whose halos clamp on no side).
-func TestBudgetShardedMatchesFFTBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	kinds := []density.KernelKind{density.FlatKernel, density.EllipticKernel, density.GaussianKernel}
-	grids := [][2]int{{1, 1}, {3, 1}, {1, 3}, {2, 2}, {4, 3}}
-	for trial := 0; trial < 6; trial++ {
-		r := 2 + rng.Intn(3)
-		g := randomGrid(rng, r+4+rng.Intn(10), r+4+rng.Intn(10), r)
-		k := density.NewKernel(kinds[trial%len(kinds)], r)
-		opts := density.FFTBudgetOptions{TargetMin: 0.25 + 0.1*rng.Float64(), MaxDensity: 0.6}
-		want, wantAch, err := density.FFTBudget(g, k, opts)
-		if err != nil {
-			t.Fatalf("FFTBudget: %v", err)
-		}
-		for _, gg := range grids {
-			gx, gy := gg[0], gg[1]
-			if gx > g.D.NX || gy > g.D.NY {
-				continue
-			}
-			regions, err := Partition(g.D.NX, g.D.NY, r, gx, gy)
-			if err != nil {
-				t.Fatalf("Partition: %v", err)
-			}
-			got, ach, err := BudgetSharded(g, k, opts, regions)
-			if err != nil {
-				t.Fatalf("BudgetSharded(%dx%d): %v", gx, gy, err)
-			}
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("trial %d %dx%d regions: budget[%d][%d] = %d, want %d",
-							trial, gx, gy, i, j, got[i][j], want[i][j])
-					}
-				}
-			}
-			if d := math.Abs(ach - wantAch); d > 1e-12 {
-				t.Fatalf("trial %d %dx%d regions: achieved %g vs %g (Δ %g)",
-					trial, gx, gy, ach, wantAch, d)
 			}
 		}
 	}

@@ -113,10 +113,6 @@ type Options struct {
 	// Grounded models tied-to-ground fill instead of floating fill:
 	// heavier loading, crosstalk shielding. See core.Config.Grounded.
 	Grounded bool
-	// NoTableCache disables the capacitance-table memo cache (every column
-	// rebuilds its own table); results are identical either way. Mainly for
-	// benchmarking the cache itself.
-	NoTableCache bool
 	// NoSolveMemo disables the content-hash tile-solve memo (every tile is
 	// solved from scratch); results are bit-identical either way. Mainly for
 	// benchmarking the memo itself.
@@ -158,6 +154,36 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// EngineConfig maps the options onto the engine's solve knobs — every field
+// except the dissection (Window, R), the fill rule and the density targets,
+// which the session applies itself. It is the one options-to-engine
+// translation: NewSession, pilfilld's region jobs and the cluster's local
+// reference run all take their core.Config from it and then set only what
+// is theirs (layer, tile offsets, progress hook, tracer, worker clamp).
+func (o Options) EngineConfig() core.Config {
+	cfg := core.Config{
+		Layer:         o.Layer,
+		Def:           o.Def,
+		Weighted:      o.Weighted,
+		Seed:          o.Seed,
+		NetCap:        o.NetCap,
+		DualGapTol:    o.DualGapTol,
+		Activity:      o.Activity,
+		Workers:       o.Workers,
+		Grounded:      o.Grounded,
+		NoSolveMemo:   o.NoSolveMemo,
+		Trace:         o.Trace,
+		Logger:        o.Logger,
+		SlowTile:      o.SlowTileThreshold,
+		ProgressNodes: o.ProgressNodes,
+		OnTile:        o.OnTile,
+	}
+	if o.ILPNodeLimit > 0 {
+		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
+	}
+	return cfg
+}
+
 // Session is a prepared layout: dissection, density budget, slack columns
 // and RC analyses, ready to run any number of placement methods for an
 // apples-to-apples comparison.
@@ -193,28 +219,7 @@ func NewSession(l *layout.Layout, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
-	cfg := core.Config{
-		Layer:         o.Layer,
-		Def:           o.Def,
-		Weighted:      o.Weighted,
-		Seed:          o.Seed,
-		NetCap:        o.NetCap,
-		DualGapTol:    o.DualGapTol,
-		Activity:      o.Activity,
-		Workers:       o.Workers,
-		Grounded:      o.Grounded,
-		NoTableCache:  o.NoTableCache,
-		NoSolveMemo:   o.NoSolveMemo,
-		Trace:         o.Trace,
-		Logger:        o.Logger,
-		SlowTile:      o.SlowTileThreshold,
-		ProgressNodes: o.ProgressNodes,
-		OnTile:        o.OnTile,
-	}
-	if o.ILPNodeLimit > 0 {
-		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-	}
-	eng, err := core.NewEngine(l, dis, o.Rule, cfg)
+	eng, err := core.NewEngine(l, dis, o.Rule, o.EngineConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
@@ -374,9 +379,9 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// CacheStats snapshots the engine's capacitance-table cache counters; zero
-// when Options.NoTableCache was set. The default cache is process-wide, so
-// sessions sharing it see cumulative figures.
+// CacheStats snapshots the engine's capacitance-table cache counters. The
+// default cache is process-wide, so sessions sharing it see cumulative
+// figures.
 func (s *Session) CacheStats() cap.CacheStats { return s.Engine.CacheStats() }
 
 // MemoStats snapshots the engine's tile-solve memo counters; zero when

@@ -186,3 +186,43 @@ func TestBadOptions(t *testing.T) {
 		t.Error("zero r accepted")
 	}
 }
+
+// TestEngineConfigCoversEveryField guards the options → engine boundary:
+// every Options field except the session's own (dissection, fill rule,
+// density targets), set alone to a non-zero value, must change
+// EngineConfig's result. A knob added to Options without a mapping fails
+// here.
+func TestEngineConfigCoversEveryField(t *testing.T) {
+	sessionOnly := map[string]bool{
+		"Window": true, "R": true, "Rule": true, "TargetMinDensity": true, "MaxDensity": true,
+	}
+	base := Options{}.EngineConfig()
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if sessionOnly[f.Name] {
+			continue
+		}
+		var o Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(2)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(f.Type, 1, 1))
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		case reflect.Func:
+			v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
+		default:
+			t.Fatalf("field %s: kind %s has no test value", f.Name, v.Kind())
+		}
+		if reflect.DeepEqual(o.EngineConfig(), base) {
+			t.Errorf("field %s does not reach core.Config", f.Name)
+		}
+	}
+}
