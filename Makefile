@@ -4,9 +4,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X pilfill/internal/obs.Version=$(VERSION)"
 
-.PHONY: ci fmt vet bench-vet build test race cluster-smoke bench bench-solver bench-solver-short bench-engine bench-engine-short bench-chip bench-chip-short trace-smoke cluster-trace-smoke serve
+.PHONY: ci fmt vet bench-vet build test race fuzz-smoke cluster-smoke bench bench-solver bench-solver-short bench-engine bench-engine-short bench-chip bench-chip-short trace-smoke cluster-trace-smoke serve
 
-ci: fmt vet bench-vet build test race cluster-smoke trace-smoke cluster-trace-smoke bench-solver-short bench-engine-short bench-chip-short
+ci: fmt vet bench-vet build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke bench-solver-short bench-engine-short bench-chip-short
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -29,6 +29,17 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/jobqueue ./internal/server ./internal/obs ./internal/shard ./internal/cluster
+
+# Run each fuzzer for FUZZTIME past its seed corpus: the DEF parser and
+# tokenizer (against the strings.Fields oracle), the LEF parser, the GDSII
+# reader and the pilfilld submit decoder. go test fuzzes one target per run.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/def
+	$(GO) test -run '^$$' -fuzz '^FuzzTokens$$' -fuzztime $(FUZZTIME) ./internal/def
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lef
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/gds
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Cluster bit-identity smoke test under the race detector: in-process
 # multi-worker scatter/gather (including the kill-a-worker fault path) must

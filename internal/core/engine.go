@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -867,28 +866,41 @@ func (e *Engine) accumulatePerNet(perNet []float64, in *Instance, a Assignment) 
 	return nil
 }
 
-// freeRowsCenterOut scans a column's free rows and orders them nearest the
-// gap's vertical center first (index tie-break). This is the placement
+// freeRowsCenterOut orders a column's free rows nearest the gap's vertical
+// center first, the lower row first at equal distance. This is the placement
 // order of place; buildInstance memoizes it per column so repeated runs over
-// the same instances skip the occupancy scan and sort.
+// the same instances skip the occupancy scan. A row's offset from the center
+// grows strictly with the row, so two pointers walk outward from the first
+// row at or above the center, skip blocked rows and take the nearer side at
+// each step: the (distance, row) order in one pass with no sort.
 func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
 	col := cv.Col
+	// Row r's feature center sits SiteY(r) - c above the gap center.
+	c := (col.YLo+col.YHi)/2 - e.Rule.Feature/2
+	hi := col.RowLo
+	for hi < col.RowHi && e.Grid.SiteY(hi) < c {
+		hi++
+	}
+	lo := hi - 1
 	free := make([]int, 0, col.RowHi-col.RowLo)
-	for r := col.RowLo; r < col.RowHi; r++ {
-		if !e.Occ.Blocked(col.Col, r) {
-			free = append(free, r)
+	for {
+		for lo >= col.RowLo && e.Occ.Blocked(col.Col, lo) {
+			lo--
+		}
+		for hi < col.RowHi && e.Occ.Blocked(col.Col, hi) {
+			hi++
+		}
+		switch {
+		case lo >= col.RowLo && (hi >= col.RowHi || c-e.Grid.SiteY(lo) <= e.Grid.SiteY(hi)-c):
+			free = append(free, lo)
+			lo--
+		case hi < col.RowHi:
+			free = append(free, hi)
+			hi++
+		default:
+			return free
 		}
 	}
-	center := (col.YLo + col.YHi) / 2
-	sort.Slice(free, func(a, b int) bool {
-		da := absI64(e.Grid.SiteY(free[a]) + e.Rule.Feature/2 - center)
-		db := absI64(e.Grid.SiteY(free[b]) + e.Rule.Feature/2 - center)
-		if da != db {
-			return da < db
-		}
-		return free[a] < free[b]
-	})
-	return free
 }
 
 // place materializes an assignment into fill features: the m features of a
@@ -921,11 +933,4 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 		}
 	}
 	return nil
-}
-
-func absI64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -70,8 +70,8 @@ type ColumnVar struct {
 	// FreeRows lists the column's free site rows nearest the gap's vertical
 	// center first — the order place consumes them in. Memoized at instance
 	// construction (occupancy never changes between build and placement) so
-	// repeated runs over the same instances skip the per-run occupancy scan
-	// and sort; nil (hand-built test instances) makes place re-scan.
+	// repeated runs over the same instances skip the per-run occupancy scan;
+	// nil (hand-built test instances) makes place re-scan.
 	FreeRows []int
 }
 
@@ -176,7 +176,7 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 		return 1 + e.Cfg.Activity[aggressorNet]
 	}
 
-	in := &Instance{I: i, J: j}
+	in := &Instance{I: i, J: j, Columns: make([]ColumnVar, 0, len(tc.Cols))}
 	for k := range tc.Cols {
 		col := &tc.Cols[k]
 		cv := ColumnVar{Col: col, MaxM: col.Capacity, NetLow: -1, NetHigh: -1}
@@ -224,10 +224,13 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 				rhatU += cv.REffHigh
 				rhatW += cv.REffHigh * float64(w)
 			}
+			// One slab per column; the full slice expressions keep an append
+			// to one curve from running into the next.
 			n := cv.MaxM + 1
-			cv.DeltaC = make([]float64, n)
-			cv.EvalUnweighted = make([]float64, n)
-			cv.EvalWeighted = make([]float64, n)
+			slab := make([]float64, 3*n)
+			cv.DeltaC = slab[:n:n]
+			cv.EvalUnweighted = slab[n : 2*n : 2*n]
+			cv.EvalWeighted = slab[2*n:]
 			for m := 1; m < n; m++ {
 				dc := tbl.Delta(m)
 				cv.DeltaC[m] = dc

@@ -29,10 +29,12 @@ package def
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"pilfill/internal/geom"
 	"pilfill/internal/layout"
@@ -49,49 +51,83 @@ func Write(w io.Writer, l *layout.Layout) error {
 	return WriteWithFill(w, l, nil)
 }
 
-// WriteWithFill emits the layout plus the given fill rectangles.
+// WriteWithFill emits the layout plus the given fill rectangles. Each line
+// is appended into one reused buffer and handed to a bufio.Writer, so the
+// encoder allocates a fixed amount however many fills it writes.
 func WriteWithFill(w io.Writer, l *layout.Layout, fills []FillRect) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "VERSION 5.6 ;\nDESIGN %s ;\nUNITS DISTANCE MICRONS 1000 ;\n", l.Name)
-	fmt.Fprintf(bw, "DIEAREA ( %d %d ) ( %d %d ) ;\n", l.Die.X1, l.Die.Y1, l.Die.X2, l.Die.Y2)
-	fmt.Fprintf(bw, "LAYERS %d ;\n", len(l.Layers))
+	e := encoder{w: bw, buf: make([]byte, 0, 256)}
+	e.str("VERSION 5.6 ;\nDESIGN ").str(l.Name).str(" ;\nUNITS DISTANCE MICRONS 1000 ;\n").line()
+	e.str("DIEAREA").pt(l.Die.X1, l.Die.Y1).pt(l.Die.X2, l.Die.Y2).str(" ;\n").line()
+	e.str("LAYERS ").int(int64(len(l.Layers))).str(" ;\n").line()
 	for _, ly := range l.Layers {
 		dir := "HORIZONTAL"
 		if ly.Dir == layout.Vertical {
 			dir = "VERTICAL"
 		}
-		fmt.Fprintf(bw, "- %s %s %d ;\n", ly.Name, dir, ly.Width)
+		e.str("- ").str(ly.Name).str(" ").str(dir).str(" ").int(ly.Width).str(" ;\n").line()
 	}
-	fmt.Fprintf(bw, "END LAYERS\nNETS %d ;\n", len(l.Nets))
+	e.str("END LAYERS\nNETS ").int(int64(len(l.Nets))).str(" ;\n").line()
 	for _, n := range l.Nets {
-		fmt.Fprintf(bw, "- %s\n", n.Name)
-		fmt.Fprintf(bw, "  + SOURCE ( %d %d ) LAYER %s\n", n.Source.P.X, n.Source.P.Y, l.Layers[n.Source.Layer].Name)
+		e.str("- ").str(n.Name).str("\n").line()
+		e.str("  + SOURCE").pt(n.Source.P.X, n.Source.P.Y).str(" LAYER ").str(l.Layers[n.Source.Layer].Name).str("\n").line()
 		for _, s := range n.Sinks {
-			fmt.Fprintf(bw, "  + SINK ( %d %d ) LAYER %s\n", s.P.X, s.P.Y, l.Layers[s.Layer].Name)
+			e.str("  + SINK").pt(s.P.X, s.P.Y).str(" LAYER ").str(l.Layers[s.Layer].Name).str("\n").line()
 		}
 		for i, s := range n.Segments {
-			kw := "NEW"
-			indent := "    "
+			kw := "    NEW "
 			if i == 0 {
-				kw = "+ ROUTED"
-				indent = "  "
+				kw = "  + ROUTED "
 			}
-			fmt.Fprintf(bw, "%s%s %s %d ( %d %d ) ( %d %d )\n", indent, kw,
-				l.Layers[s.Layer].Name, s.Width, s.A.X, s.A.Y, s.B.X, s.B.Y)
+			e.str(kw).str(l.Layers[s.Layer].Name).str(" ").int(s.Width).
+				pt(s.A.X, s.A.Y).pt(s.B.X, s.B.Y).str("\n").line()
 		}
-		fmt.Fprintf(bw, ";\n")
+		e.str(";\n").line()
 	}
-	fmt.Fprintf(bw, "END NETS\n")
+	e.str("END NETS\n").line()
 	if len(fills) > 0 {
-		fmt.Fprintf(bw, "FILLS %d ;\n", len(fills))
+		e.str("FILLS ").int(int64(len(fills))).str(" ;\n").line()
 		for _, f := range fills {
-			fmt.Fprintf(bw, "- LAYER %s RECT ( %d %d ) ( %d %d ) ;\n",
-				l.Layers[f.Layer].Name, f.Rect.X1, f.Rect.Y1, f.Rect.X2, f.Rect.Y2)
+			e.str("- LAYER ").str(l.Layers[f.Layer].Name).str(" RECT").
+				pt(f.Rect.X1, f.Rect.Y1).pt(f.Rect.X2, f.Rect.Y2).str(" ;\n").line()
 		}
-		fmt.Fprintf(bw, "END FILLS\n")
+		e.str("END FILLS\n").line()
 	}
-	fmt.Fprintf(bw, "END DESIGN\n")
+	e.str("END DESIGN\n").line()
 	return bw.Flush()
+}
+
+// encoder builds one output line at a time in buf. A write error sticks in
+// the bufio.Writer and surfaces from its Flush.
+type encoder struct {
+	w   *bufio.Writer
+	buf []byte
+}
+
+func (e *encoder) str(s string) *encoder {
+	e.buf = append(e.buf, s...)
+	return e
+}
+
+func (e *encoder) int(v int64) *encoder {
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+	return e
+}
+
+// pt appends " ( x y )".
+func (e *encoder) pt(x, y int64) *encoder {
+	e.buf = append(e.buf, " ( "...)
+	e.buf = strconv.AppendInt(e.buf, x, 10)
+	e.buf = append(e.buf, ' ')
+	e.buf = strconv.AppendInt(e.buf, y, 10)
+	e.buf = append(e.buf, " )"...)
+	return e
+}
+
+// line hands the finished line to the writer and resets buf.
+func (e *encoder) line() {
+	e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 }
 
 // FillRects converts a FillSet's grid sites to rectangles for writing.
@@ -101,6 +137,65 @@ func FillRects(fs *layout.FillSet) []FillRect {
 		out = append(out, FillRect{Layer: fs.Layer, Rect: fs.Grid.SiteRect(f.Col, f.Row)})
 	}
 	return out
+}
+
+// Tokenize splits a text stream into the tokens the DEF and LEF readers
+// parse. Each line loses everything from its first '#'; the rest splits at
+// white space as strings.Fields splits it (unicode.IsSpace, with invalid
+// UTF-8 never a separator), and every byte of punct, which must be ASCII, is
+// a token of its own even when unspaced, so "(100 200);" reads as
+// "(", "100", "200", ")", ";". Tokens are substrings of one string per line.
+func Tokenize(r io.Reader, punct string) ([]string, error) {
+	const (
+		word uint8 = iota
+		space
+		sep
+	)
+	var class [utf8.RuneSelf]uint8
+	for _, c := range []byte("\t\n\v\f\r ") {
+		class[c] = space
+	}
+	for i := 0; i < len(punct); i++ {
+		class[punct[i]] = sep
+	}
+	var toks []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		b := sc.Bytes()
+		if i := bytes.IndexByte(b, '#'); i >= 0 {
+			b = b[:i]
+		}
+		line := string(b)
+		start := -1 // first byte of the token being read, or -1 between tokens
+		for i := 0; i < len(line); {
+			cls, size := word, 1
+			if c := line[i]; c < utf8.RuneSelf {
+				cls = class[c]
+			} else {
+				var r rune
+				r, size = utf8.DecodeRuneInString(line[i:])
+				if unicode.IsSpace(r) {
+					cls = space
+				}
+			}
+			if cls != word && start >= 0 {
+				toks = append(toks, line[start:i])
+				start = -1
+			}
+			switch {
+			case cls == sep:
+				toks = append(toks, line[i:i+1])
+			case cls == word && start < 0:
+				start = i
+			}
+			i += size
+		}
+		if start >= 0 {
+			toks = append(toks, line[start:])
+		}
+	}
+	return toks, sc.Err()
 }
 
 // parser is a whitespace token stream with one-token lookahead.
@@ -188,19 +283,9 @@ func Parse(r io.Reader) (*layout.Layout, []FillRect, error) {
 // DEF's inline LAYERS section becomes optional; if both are present the
 // inline section must not conflict by redefining an existing name.
 func ParseWith(r io.Reader, predefined []layout.Layer) (*layout.Layout, []FillRect, error) {
-	var toks []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		// Tolerate unspaced punctuation: "(100 200)" etc.
-		line = strings.NewReplacer("(", " ( ", ")", " ) ", ";", " ; ").Replace(line)
-		toks = append(toks, strings.Fields(line)...)
-	}
-	if err := sc.Err(); err != nil {
+	// Tolerate unspaced punctuation: "(100 200)" etc.
+	toks, err := Tokenize(r, "();")
+	if err != nil {
 		return nil, nil, fmt.Errorf("def: read: %w", err)
 	}
 	p := &parser{toks: toks}

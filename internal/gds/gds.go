@@ -122,10 +122,10 @@ func gdsString(s string) []byte {
 }
 
 // real8 encodes an excess-64, base-16 GDSII floating point number. Values
-// outside the format's range (roughly 16^±63), NaN and infinities are errors:
-// saturating them silently would write a units record wildly different from
-// what the caller asked for, corrupting every coordinate in the stream for
-// any reader that honors UNITS.
+// outside the format's range (roughly 16^-78 to 16^63), NaN and infinities
+// are errors: saturating them silently would write a units record wildly
+// different from what the caller asked for, corrupting every coordinate in
+// the stream for any reader that honors UNITS.
 func real8(f float64) ([]byte, error) {
 	out := make([]byte, 8)
 	if f == 0 {
@@ -149,13 +149,21 @@ func real8(f float64) ([]byte, error) {
 		f *= 16
 		exp--
 	}
+	norm := exp
+	if exp < 0 {
+		// Below 16^-65 the value still fits at the lowest exponent with
+		// leading zero digits in the mantissa, which is how parseReal8 (and
+		// any GDSII reader) decodes such a record.
+		f = math.Ldexp(f, 4*exp)
+		exp = 0
+	}
 	mant := uint64(math.Round(f * (1 << 56)))
 	if mant >= 1<<56 {
 		mant >>= 4
 		exp++
 	}
-	if exp < 0 || exp > 127 {
-		return nil, fmt.Errorf("gds: magnitude out of GDSII real range (base-16 exponent %d)", exp-64)
+	if mant == 0 || exp > 127 {
+		return nil, fmt.Errorf("gds: magnitude out of GDSII real range (base-16 exponent %d)", norm-64)
 	}
 	out[0] = sign | byte(exp)
 	for i := 0; i < 7; i++ {

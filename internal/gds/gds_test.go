@@ -48,6 +48,27 @@ func TestQuickReal8RoundTrip(t *testing.T) {
 	}
 }
 
+// TestReal8WritesUnnormalized: a real whose mantissa has leading zero
+// digits at the lowest exponent is below every normalized value, yet Read
+// accepts it in UNITS, so Write must encode it back instead of failing
+// (found by FuzzRead).
+func TestReal8WritesUnnormalized(t *testing.T) {
+	for _, in := range [][]byte{
+		{0x00, 0x00, 0x04, 0x30, 0x30, 0x30, 0x30, 0x30},
+		{0x80, 0x01, 0, 0, 0, 0, 0, 0},
+		{0x00, 0, 0, 0, 0, 0, 0, 0x01},
+	} {
+		v := parseReal8(in)
+		b, err := real8(v)
+		if err != nil {
+			t.Fatalf("real8(%g) from % x: %v", v, in, err)
+		}
+		if got := parseReal8(b); got != v {
+			t.Errorf("% x: %g wrote as % x, reads back %g", in, v, b, got)
+		}
+	}
+}
+
 func TestReal8RejectsUnrepresentable(t *testing.T) {
 	// Regression: out-of-range magnitudes used to saturate silently to the
 	// largest exponent (and ±Inf spun the normalize loop forever), so a bogus

@@ -266,6 +266,9 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 		state:     Pending,
 		submitted: time.Now(),
 	}
+	// Snapshot while the job is still private: once it is on q.pending an
+	// idle worker may mark it running before this returns.
+	snap := j.snapshotLocked()
 	select {
 	case q.pending <- j:
 	default:
@@ -279,7 +282,7 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 	}
 	q.order = append(q.order, j.id)
 	q.submitted.Add(1)
-	return j.snapshot(), false, nil
+	return snap, false, nil
 }
 
 // Get returns a job's current snapshot.

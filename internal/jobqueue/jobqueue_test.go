@@ -195,6 +195,25 @@ func TestDefaultTimeoutApplies(t *testing.T) {
 	}
 }
 
+// TestSubmitSnapshotIsPending hands jobs to idle workers: the snapshot a
+// submit returns must describe the job as accepted, never a state a worker
+// moved it to after the hand-off.
+func TestSubmitSnapshotIsPending(t *testing.T) {
+	q := New(Config{Capacity: 512, Workers: 4})
+	defer q.Shutdown(context.Background())
+
+	for i := 0; i < 500; i++ {
+		snap, err := q.Submit(quickTask(i), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.State != Pending || !snap.Started.IsZero() || snap.Result != nil {
+			t.Fatalf("submit %d returned state %v (started %v, result %v), want a pending snapshot",
+				i, snap.State, snap.Started, snap.Result)
+		}
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
 	var finished atomic.Int64
 	q := New(Config{Capacity: 8, Workers: 2, OnFinish: func(Snapshot) { finished.Add(1) }})

@@ -22,13 +22,13 @@
 package lef
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 
+	"pilfill/internal/def"
 	"pilfill/internal/layout"
 )
 
@@ -126,18 +126,8 @@ func (p *parser) micronsToNM() (int64, error) {
 
 // Parse reads the LEF subset.
 func Parse(r io.Reader) (*Library, error) {
-	var toks []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.NewReplacer(";", " ; ").Replace(line)
-		toks = append(toks, strings.Fields(line)...)
-	}
-	if err := sc.Err(); err != nil {
+	toks, err := def.Tokenize(r, ";")
+	if err != nil {
 		return nil, fmt.Errorf("lef: read: %w", err)
 	}
 	p := &parser{toks: toks}
