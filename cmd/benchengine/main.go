@@ -3,7 +3,7 @@
 //
 //	benchengine -o BENCH_engine.json          # full case set
 //	benchengine -short                        # single case (CI)
-//	benchengine -check                        # enforce regression floors
+//	benchengine -check                        # enforce the allocation and certificate gates
 //
 // For every benchmark case and every placement method it measures the
 // engine's steady-state solve path (worker-local SolveScratch borrowed from
@@ -18,10 +18,12 @@
 // (LPT) work queue gets to perfect scheduling.
 //
 // With -check the run exits 1 unless every method allocates at most
-// MaxAllocsPerOp times per tile solve on every case, DualAscent's
-// solve-phase ns/tile is at least 5x below ILP-II's (its certificate
-// replaces the branch-and-bound search entirely on convex tiles), and every
-// identity check passed.
+// MaxAllocsPerOp times per tile solve on every case, ILP-II and DualAscent
+// both settle every tile of every case by certificate (0 branch-and-bound
+// nodes: the cases are uncapped, floating-fill curves are convex, so the
+// hull bound proves the warm start optimal) with bit-equal fills, and every
+// identity check passed. The DualAscent ns/tile ratios are recorded, not
+// gated.
 package main
 
 import (
@@ -107,6 +109,14 @@ type CaseResult struct {
 	Tiles   int            `json:"tiles"`
 	Methods []MethodResult `json:"methods"`
 	Scaling []ScalePoint   `json:"scaling_ilp2,omitempty"`
+	// ILPIINodes and DualNodes are the branch-and-bound nodes of one ILP-II
+	// and one DualAscent run; DualEqualsILPII reports that the two runs'
+	// results (fill, delays, per-net accounting, search effort) are
+	// bit-equal. Under -check both node counts must be 0 and the results
+	// equal.
+	ILPIINodes      int  `json:"ilp2_nodes"`
+	DualNodes       int  `json:"dual_nodes"`
+	DualEqualsILPII bool `json:"dual_equals_ilp2"`
 }
 
 // Output is the BENCH_engine.json document.
@@ -119,14 +129,10 @@ type Output struct {
 	// MaxAllocsPerOp under -check.
 	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
 	// Worst-case (minimum) DualAscent ns/tile reduction over the ILP methods'
-	// pooled paths. The solve-phase ILP-II figure is a CI floor (>= 5x under
-	// -check): the solve phase is the share of per-tile time the method can
-	// influence, so flooring the total — which includes ~1us of placement
-	// and accounting overhead paid identically by every method — would gate
-	// the PR on overhead the solver cannot touch. The total-path figures and
-	// the ILP-I figure are recorded for the paper tables but not floored;
-	// ILP-I solves a linearized (cheaper, inexact) program, so beating it by
-	// a fixed factor is not part of the method's claim.
+	// pooled paths, total and solve phase. Recorded, not gated: ILP-II now
+	// certifies its warm start with the same hull bound DualAscent uses, so
+	// the two run nearly the same work and the ratio measures the
+	// difference between their heuristic warm-start passes, not a mechanism.
 	DualNSReductionILPI       float64 `json:"dual_ns_reduction_vs_ilp1"`
 	DualNSReductionILPII      float64 `json:"dual_ns_reduction_vs_ilp2"`
 	DualSolveNSReductionILPII float64 `json:"dual_solve_ns_reduction_vs_ilp2"`
@@ -163,11 +169,11 @@ func identical(a, b *core.Result) bool {
 // Measurement is serial (Workers = 1) so the allocation deltas are not
 // polluted by scheduler noise and ns/tile is comparable across machines with
 // different core counts.
-func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, runs int) (st PathStats, same bool, err error) {
+func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, runs int) (st PathStats, ref *core.Result, same bool, err error) {
 	eng.Cfg.Workers = 1
-	ref, err := eng.Run(m, instances) // warm-up; also the identity-check reference
+	ref, err = eng.Run(m, instances) // warm-up; also the identity-check reference
 	if err != nil {
-		return PathStats{}, false, err
+		return PathStats{}, nil, false, err
 	}
 	results := make([]*core.Result, runs)
 	var before, after runtime.MemStats
@@ -178,7 +184,7 @@ func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, ru
 	for i := 0; i < runs; i++ {
 		r, err := eng.Run(m, instances)
 		if err != nil {
-			return PathStats{}, false, err
+			return PathStats{}, nil, false, err
 		}
 		cpu += r.CPU
 		results[i] = r
@@ -203,7 +209,7 @@ func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, ru
 	st.NSPerTile = float64(wall.Nanoseconds()) / ops
 	st.SolveNSPerTile = float64(cpu.Nanoseconds()) / ops
 	st.TilesPerSec = ops / wall.Seconds()
-	return st, same, nil
+	return st, ref, same, nil
 }
 
 // scalingCurve sweeps worker counts 1, 2, 4, ... GOMAXPROCS for ILP-II and
@@ -263,19 +269,30 @@ func runCase(c benchCase, runs int, short bool) (CaseResult, error) {
 		return CaseResult{}, err
 	}
 	res := CaseResult{Case: c.name(), Tiles: len(instances)}
+	var ilp2, dual *core.Result
 	for _, m := range methods {
-		pooled, same, err := measurePath(eng, m, instances, runs)
+		pooled, ref, same, err := measurePath(eng, m, instances, runs)
 		if err != nil {
 			return res, fmt.Errorf("%s %v: %w", c.name(), m, err)
 		}
 		if !same {
 			return res, fmt.Errorf("%s %v: warm runs diverge from the warm-up run", c.name(), m)
 		}
+		switch m {
+		case core.ILPII:
+			ilp2 = ref
+		case core.DualAscent:
+			dual = ref
+		}
 		mr := MethodResult{Method: m.String(), Pooled: pooled, Identical: same}
 		res.Methods = append(res.Methods, mr)
 		fmt.Fprintf(os.Stderr, "%-10s %-15s %8.0f ns/tile %8.3f allocs/op %9.0f B/op\n",
 			res.Case, mr.Method, pooled.NSPerTile, pooled.AllocsPerOp, pooled.BytesPerOp)
 	}
+	res.ILPIINodes, res.DualNodes = ilp2.ILPNodes, dual.ILPNodes
+	res.DualEqualsILPII = identical(dual, ilp2)
+	fmt.Fprintf(os.Stderr, "%-10s B&B nodes: ILP-II %d, DualAscent %d; DualAscent == ILP-II: %v\n",
+		res.Case, res.ILPIINodes, res.DualNodes, res.DualEqualsILPII)
 	if !short {
 		if res.Scaling, err = scalingCurve(eng, instances); err != nil {
 			return res, fmt.Errorf("%s scaling: %w", c.name(), err)
@@ -292,7 +309,7 @@ func main() {
 	var (
 		out        = flag.String("o", "BENCH_engine.json", "output file, - for stdout")
 		short      = flag.Bool("short", false, "single case, no scaling sweep (CI)")
-		check      = flag.Bool("check", false, "exit 1 above the allocs/op ceiling or below the DualAscent 5x floor")
+		check      = flag.Bool("check", false, "exit 1 above the allocs/op ceiling, on any ILP-II/DualAscent B&B node, or on a DualAscent/ILP-II mismatch")
 		runs       = flag.Int("runs", 5, "measurement runs per path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -374,8 +391,14 @@ func main() {
 	if *check && doc.MaxAllocsPerOp > MaxAllocsPerOp {
 		fail("steady-state allocs/op %.3f above the %.1f ceiling", doc.MaxAllocsPerOp, MaxAllocsPerOp)
 	}
-	if *check && doc.DualSolveNSReductionILPII < 5 {
-		fail("DualAscent solve ns/tile reduction over ILP-II below 5x: %.2fx",
-			doc.DualSolveNSReductionILPII)
+	for _, c := range doc.Cases {
+		switch {
+		case !*check:
+		case c.ILPIINodes != 0 || c.DualNodes != 0:
+			fail("%s: uncapped convex tiles reached branch-and-bound: ILP-II %d nodes, DualAscent %d",
+				c.Case, c.ILPIINodes, c.DualNodes)
+		case !c.DualEqualsILPII:
+			fail("%s: DualAscent result differs from ILP-II's", c.Case)
+		}
 	}
 }

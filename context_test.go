@@ -46,13 +46,17 @@ func TestRunContextDeadlineMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(l, Options{Window: 51200, R: 4, Seed: 1, Rule: DefaultRuleT1T2()})
+	// Uncapped, every T1 tile's warm start passes the hull certificate and
+	// the run finishes in milliseconds. The 1e-14 s net cap makes three
+	// tiles' repaired incumbents fail it, and their branch-and-bound (node
+	// limit 2000) takes hundreds of milliseconds, so a short deadline must
+	// abort mid-run via the tile-boundary and branch-and-bound checks, well
+	// before the natural completion time.
+	s, err := NewSession(l, Options{Window: 51200, R: 4, Seed: 1, Rule: DefaultRuleT1T2(),
+		NetCap: 1e-14, ILPNodeLimit: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// T1 ILP-II takes hundreds of milliseconds over many tiles; a short
-	// deadline must abort mid-run via the tile-boundary and branch-and-bound
-	// checks, well before the natural completion time.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -47,9 +47,12 @@ import (
 //     relaxation and feasible), so the caps are checked after the fact
 //     rather than priced into the dual.
 //
-// Every fallback re-solves the tile with the existing ILP-II program and
-// branch-and-bound searcher, so correctness never regresses: DualAscent is
-// exact on every instance, by certificate or by B&B.
+// Every fallback hands the tile to ILP-II's certify-else-branch tail
+// (certifyElseBranch): its cap-repaired marginal-greedy incumbent is checked
+// against this same sweep's hull bound under the searcher's own root-prune
+// rule, and otherwise the ILP-II program is built and branched, so
+// correctness never regresses: DualAscent is exact on every instance, by
+// certificate or by B&B.
 
 // DualGapTolDefault is the relative duality-gap acceptance threshold of the
 // DualAscent certificate (Config.DualGapTol = 0 selects it). It mirrors the
@@ -71,16 +74,17 @@ func (e *Engine) dualGapTol() float64 {
 	return DualGapTolDefault
 }
 
-// dualCertify runs the dual-ascent sweep and the optimality certificate,
-// writing the assignment into a (zeroed, length == columns). ok = false means
-// the caller must fall back to branch-and-bound (gap above threshold, budget
-// shortfall, or a violated per-net cap); a is then partially written garbage
-// the fallback overwrites. The only error is a cancelled context.
-func (sc *SolveScratch) dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap, gapTol float64) (bool, error) {
+// hullSweep builds every column's lower convex hull into the scratch's dual
+// arenas and runs the monotone dual ascent, writing the convexified
+// program's optimum into the scratch's hull assignment, which it returns.
+// A nil assignment means the total capacity is short of F: no bound exists,
+// and the B&B path owns the infeasibility diagnosis. The assignment and the
+// arenas (read by hullAt) stay valid until the next sweep on this scratch.
+// The only error is a cancelled context.
+func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment, error) {
 	kn := len(in.Columns)
-	if kn == 0 || in.F == 0 {
-		return true, nil
-	}
+	sc.hullA = growZero(sc.hullA, kn)
+	a := sc.hullA
 	total := 0
 	for k := range in.Columns {
 		total += in.Columns[k].MaxM + 1
@@ -99,7 +103,7 @@ func (sc *SolveScratch) dualCertify(ctx context.Context, a Assignment, in *Insta
 	pos := 0
 	for k := range in.Columns {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return nil, err
 		}
 		cv := &in.Columns[k]
 		off[k] = pos
@@ -170,7 +174,7 @@ func (sc *SolveScratch) dualCertify(ctx context.Context, a Assignment, in *Insta
 	for ; placed < in.F && hp.Len() > 0; placed++ {
 		if placed%dualPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return nil, err
 			}
 		}
 		it := hp.popItem()
@@ -180,75 +184,68 @@ func (sc *SolveScratch) dualCertify(ctx context.Context, a Assignment, in *Insta
 		}
 	}
 	if placed < in.F {
-		// Capacity short of the budget: let the B&B path own the
-		// infeasibility diagnosis.
-		return false, nil
+		return nil, nil
 	}
+	return a, nil
+}
 
-	// Optimality certificate: gap = Σ_k (c_k(a_k) − ĉ_k(a_k)) >= 0, with
-	// hull-vertex columns contributing exactly 0.0 (no arithmetic at all).
-	// Off-vertex values interpolate from the nearest vertex below along the
-	// covering hull edge.
+// hullAt returns ĉ_k(m), column k's convexified cost at m from the last
+// hullSweep. On a hull vertex it is the original cost value itself (no
+// arithmetic); off a vertex it interpolates from the nearest vertex below
+// along the covering hull edge.
+func (sc *SolveScratch) hullAt(in *Instance, k, m int) float64 {
+	cv := &in.Columns[k]
+	o := sc.dualOff[k]
+	if sc.dualVert[o+m] {
+		return cv.costAt(m)
+	}
+	v := m - 1
+	for !sc.dualVert[o+v] {
+		v--
+	}
+	return cv.costAt(v) + sc.dualMarg[o+m]*float64(m-v)
+}
+
+// dualAccepts is DualAscent's certificate on the sweep assignment a: the
+// duality gap Σ_k (c_k(a_k) − ĉ_k(a_k)) >= 0 within gapTol of the primal
+// (hull-vertex columns contribute exactly 0.0), and every configured per-net
+// delay cap met. The dual priced only the budget row, so the caps are
+// re-checked on the certified assignment: raw (un-normalized) spend against
+// the raw budget is stricter than the solver's normalized rows with their
+// 1e-6 tolerance, so acceptance here is sound.
+func (sc *SolveScratch) dualAccepts(in *Instance, netCap *NetCap, a Assignment, gapTol float64) bool {
 	primal, gap := 0.0, 0.0
-	for k := range in.Columns {
-		cv := &in.Columns[k]
-		m := a[k]
-		c := cv.costAt(m)
+	for k, m := range a {
+		c := in.Columns[k].costAt(m)
 		primal += c
-		if vert[off[k]+m] {
-			continue
-		}
-		v := m - 1
-		for !vert[off[k]+v] {
-			v--
-		}
-		gap += c - (cv.costAt(v) + marg[off[k]+m]*float64(m-v))
+		gap += c - sc.hullAt(in, k, m)
 	}
 	if gap < 0 {
 		gap = 0
 	}
 	if gap > gapTol*primal {
-		return false, nil
+		return false
 	}
-
-	// The dual priced only the budget row; a configured per-net delay cap
-	// must be re-checked on the certified assignment. Raw (un-normalized)
-	// spend against the raw budget is stricter than the solver's normalized
-	// rows with their 1e-6 tolerance, so acceptance here is sound.
-	if netCap != nil && (netCap.MaxAddedDelay > 0 || netCap.PerNet != nil) {
-		spend := sc.spentMap()
-		for k, m := range a {
-			cv := &in.Columns[k]
-			if m <= 0 || cv.DeltaC == nil {
-				continue
-			}
-			dc := cv.DeltaC[m]
-			if cv.NetLow >= 0 && netCap.budgetFor(cv.NetLow) > 0 {
-				spend[cv.NetLow] += dc * cv.REffLow
-			}
-			if cv.NetHigh >= 0 && netCap.budgetFor(cv.NetHigh) > 0 {
-				spend[cv.NetHigh] += dc * cv.REffHigh
-			}
-		}
-		for net, s := range spend {
+	if netCap.active() {
+		for net, s := range sc.netSpend(in, netCap, a) {
 			if s > netCap.budgetFor(net) {
-				return false, nil
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // SolveDualAscent solves a tile by Lagrangian dual ascent with a
 // branch-and-bound safety net: the certificate path returns a proven-optimal
 // assignment with zero B&B nodes and zero simplex pivots; otherwise the tile
-// is re-solved as the ILP-II program. sol is nil on the certificate path and
-// the B&B solution when the fallback ran (fallback = true). gapTol <= 0
+// goes through ILP-II's certify-else-branch tail (fallback = true). sol is
+// the B&B solution when the fallback branched, nil otherwise. gapTol <= 0
 // selects DualGapTolDefault.
 func SolveDualAscent(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64) (Assignment, *ilp.Solution, bool, error) {
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	sol, st, err := sc.solveDual(ctx, in, sc.withOpts(opts), netCap, gapTol, a)
+	sol, st, err := sc.solveDual(ctx, in, netCap, gapTol, a, func() *ilp.Options { return sc.withOpts(opts) })
 	if err != nil {
 		return nil, sol, st.dualFallback, err
 	}
@@ -258,17 +255,25 @@ func SolveDualAscent(ctx context.Context, in *Instance, opts *ilp.Options, netCa
 // solveDual is SolveDualAscent on the scratch: the assignment lands in the
 // caller's zeroed slice and every intermediate (hull arenas, heap, fallback
 // program and searcher) comes from the scratch, so the warm path allocates
-// nothing. sol is the searcher-owned fallback solution (nil on the
-// certificate path).
-func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64, a Assignment) (*ilp.Solution, solveStats, error) {
+// nothing. bnbOpts supplies the per-tile B&B options and is called only when
+// the fallback branches. sol is the searcher-owned B&B solution (nil when
+// no B&B ran).
+func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, netCap *NetCap, gapTol float64, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
+	if len(in.Columns) == 0 || in.F == 0 {
+		return nil, solveStats{}, nil
+	}
 	if gapTol <= 0 {
 		gapTol = DualGapTolDefault
 	}
-	ok, err := sc.dualCertify(ctx, a, in, netCap, gapTol)
-	if err != nil || ok {
+	hull, err := sc.hullSweep(ctx, in)
+	if err != nil {
 		return nil, solveStats{}, err
 	}
-	sol, st, err := sc.solveILPII(in, opts, netCap, a)
+	if hull != nil && sc.dualAccepts(in, netCap, hull, gapTol) {
+		copy(a, hull)
+		return nil, solveStats{}, nil
+	}
+	sol, st, err := sc.certifyElseBranch(in, netCap, hull, a, bnbOpts)
 	st.dualFallback = true
 	return sol, st, err
 }

@@ -182,7 +182,7 @@ func TestDualWarmScratchMatchesFresh(t *testing.T) {
 		}
 		ref, _, refFB, errR := SolveDualAscent(context.Background(), in, nil, nc, 0)
 		a := make(Assignment, len(in.Columns))
-		_, st, err := sc.solveDual(context.Background(), in, sc.withOpts(nil), nc, 0, a)
+		_, st, err := sc.solveDual(context.Background(), in, nc, 0, a, defaultOpts(sc))
 		if (errR == nil) != (err == nil) {
 			t.Fatalf("trial %d: fresh err %v, warm err %v", trial, errR, err)
 		}
@@ -214,7 +214,7 @@ func TestDualAscentContextCancelled(t *testing.T) {
 	}
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	if _, _, err := sc.solveDual(ctx, in, sc.withOpts(nil), nil, 0, a); !errors.Is(err, context.Canceled) {
+	if _, _, err := sc.solveDual(ctx, in, nil, 0, a, defaultOpts(sc)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("scratch err = %v, want context.Canceled", err)
 	}
 	// The same instance still solves with a live context.

@@ -576,6 +576,9 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
+	// The per-tile B&B options (and the progress hook) are built only for
+	// tiles that reach the searcher.
+	bnbOpts := func() *ilp.Options { return e.tileOpts(ctx, sc, base, in, lane, span) }
 	var err error
 	switch method {
 	case Normal:
@@ -598,14 +601,14 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 		return st, sc.solveDP(ctx, a, in)
 	case ILPI:
 		var sol *ilp.Solution
-		sol, err = sc.solveILPI(in, e.tileOpts(ctx, sc, base, in, lane, span), a)
+		sol, err = sc.solveILPI(in, bnbOpts(), a)
 		if sol != nil {
 			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
 		}
 	case ILPII:
-		_, st, err = sc.solveILPII(in, e.tileOpts(ctx, sc, base, in, lane, span), nc, a)
+		_, st, err = sc.solveILPII(ctx, in, nc, a, bnbOpts)
 	case DualAscent:
-		_, st, err = sc.solveDual(ctx, in, e.tileOpts(ctx, sc, base, in, lane, span), nc, e.dualGapTol(), a)
+		_, st, err = sc.solveDual(ctx, in, nc, e.dualGapTol(), a, bnbOpts)
 	default:
 		return st, fmt.Errorf("core: unknown method %v", method)
 	}

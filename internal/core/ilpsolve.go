@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -135,6 +136,40 @@ func (nc *NetCap) budgetFor(net int) float64 {
 	return nc.MaxAddedDelay
 }
 
+// active reports whether any per-net bound is configured (nil-safe).
+func (nc *NetCap) active() bool {
+	return nc != nil && (nc.MaxAddedDelay > 0 || nc.PerNet != nil)
+}
+
+// capped reports whether a net carries a positive bound.
+func (nc *NetCap) capped(net int) bool { return net >= 0 && nc.budgetFor(net) > 0 }
+
+// charge adds sign·ΔC(m) times each bounding line's switch-factor-scaled
+// resistance to the spend of the column's capped nets: the raw
+// (un-normalized) per-net delay terms the cap rows encode.
+func (nc *NetCap) charge(spend map[int]float64, cv *ColumnVar, m int, sign float64) {
+	if m <= 0 || cv.DeltaC == nil {
+		return
+	}
+	dc := cv.DeltaC[m] * sign
+	if nc.capped(cv.NetLow) {
+		spend[cv.NetLow] += dc * cv.REffLow
+	}
+	if nc.capped(cv.NetHigh) {
+		spend[cv.NetHigh] += dc * cv.REffHigh
+	}
+}
+
+// netSpend returns every capped net's raw added delay under assignment a, in
+// the scratch's reused spend map.
+func (sc *SolveScratch) netSpend(in *Instance, nc *NetCap, a Assignment) map[int]float64 {
+	spend := sc.spentMap()
+	for k, m := range a {
+		nc.charge(spend, &in.Columns[k], m, 1)
+	}
+	return spend
+}
+
 // ilpiiVars records where a column's variables live in the ILP-II program:
 // either a run of MaxM+1 binary indicators or a single bounded integer for
 // free (unattributed) columns.
@@ -147,13 +182,13 @@ type ilpiiVars struct {
 // ILPIIProgram is a built ILP-II instance: the MILP, the variable layout
 // needed to decode its solutions back into an Assignment, and a heuristic
 // incumbent for warm-starting. The incumbent comes from SolveMarginalGreedy
-// — provably optimal for the convex floating-fill cost curves, so the
-// seeded search usually proves optimality at the root. The marginal greedy
-// ignores per-net delay-cap rows, so when caps are active the incumbent is
-// repaired against them (see repairIncumbent) before being handed to the
-// solver; exactly the hardest instances used to lose their warm start here,
-// because the solver validates incumbents and silently ignores ones a cap
-// row rejects. IncumbentRepaired/IncumbentDropped record the outcome.
+// — provably optimal for the convex floating-fill cost curves. The marginal
+// greedy ignores per-net delay-cap rows, so when caps are active the
+// incumbent is repaired against them (see repairIncumbent) before being
+// handed to the solver; exactly the hardest instances used to lose their
+// warm start here, because the solver validates incumbents and silently
+// ignores ones a cap row rejects. IncumbentRepaired/IncumbentDropped record
+// the outcome.
 type ILPIIProgram struct {
 	P         *ilp.Problem
 	Incumbent []float64
@@ -220,11 +255,22 @@ func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 // total added unweighted delay inside the tile. Returns nil for trivial
 // (empty) instances.
 func BuildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
-	return NewSolveScratch().buildILPII(in, netCap)
+	sc := NewSolveScratch()
+	inc := make(Assignment, len(in.Columns))
+	repaired, dropped := sc.ilpiiIncumbent(in, netCap, inc)
+	if dropped {
+		inc = nil
+	}
+	g := sc.buildILPII(in, netCap, inc)
+	if g != nil {
+		g.IncumbentRepaired, g.IncumbentDropped = repaired, dropped
+	}
+	return g
 }
 
-// buildILPII is BuildILPII sourcing every slice from the scratch.
-func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
+// buildILPII is BuildILPII sourcing every slice from the scratch, seeded
+// with the given incumbent assignment (nil: the search starts cold).
+func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap, inc Assignment) *ILPIIProgram {
 	k := len(in.Columns)
 	if k == 0 || in.F == 0 {
 		return nil
@@ -273,7 +319,7 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
 	normalize(p.Objective, nil)
 	cons = append(cons, lp.Constraint{Coeffs: fillRow, Op: lp.EQ, RHS: float64(in.F)})
 
-	if netCap != nil && (netCap.MaxAddedDelay > 0 || netCap.PerNet != nil) {
+	if netCap.active() {
 		// Per-net rows: Σ_k Σ_n ΔC_k(n)·sf·R_l(x_k)·m_{k,n} <= cap. The
 		// switch-factor-scaled resistances keep the bound consistent with
 		// the per-net delays Evaluate and Result.PerNet report.
@@ -318,21 +364,25 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
 
 	sc.prog = ILPIIProgram{P: p, vars: vars, k: k}
 	g := &sc.prog
-	sc.tmpA = growZero(sc.tmpA, k)
-	ainc := sc.tmpA
-	sc.solveMarginalGreedy(ainc, in)
-	if netCap != nil && (netCap.MaxAddedDelay > 0 || netCap.PerNet != nil) {
-		repaired, ok := sc.repairIncumbent(in, netCap, ainc)
-		g.IncumbentRepaired = repaired && ok
-		if !ok {
-			g.IncumbentDropped = true
-			return g
-		}
+	if inc != nil {
+		sc.inc = growZero(sc.inc, nv)
+		g.encodeInto(sc.inc, inc)
+		g.Incumbent = sc.inc
 	}
-	sc.inc = growZero(sc.inc, nv)
-	g.encodeInto(sc.inc, ainc)
-	g.Incumbent = sc.inc
 	return g
+}
+
+// ilpiiIncumbent writes ILP-II's warm start into a (zeroed, length ==
+// columns): the marginal-greedy assignment, repaired into per-net cap
+// feasibility when caps are active. dropped reports that no repair could
+// reach the fill total within the caps; a then holds no usable incumbent.
+func (sc *SolveScratch) ilpiiIncumbent(in *Instance, netCap *NetCap, a Assignment) (repaired, dropped bool) {
+	sc.solveMarginalGreedy(a, in)
+	if !netCap.active() {
+		return false, false
+	}
+	repaired, ok := sc.repairIncumbent(in, netCap, a)
+	return repaired && ok, !ok
 }
 
 // repairIncumbent makes a heuristic assignment feasible under the per-net
@@ -347,26 +397,9 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
 // drops the incumbent).
 func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignment) (repaired, ok bool) {
 	// Per-net spend under the same raw (un-normalized) delay terms the cap
-	// rows encode: Σ ΔC_k(m_k)·sf·R_l. The solver checks the normalized rows
-	// with a 1e-6·(1+|RHS|) tolerance, so raw feasibility implies acceptance.
-	spend := sc.spentMap()
-	capped := func(net int) bool { return net >= 0 && netCap.budgetFor(net) > 0 }
-	charge := func(k, m int, sign float64) {
-		cv := &in.Columns[k]
-		if m <= 0 || cv.DeltaC == nil {
-			return
-		}
-		dc := cv.DeltaC[m] * sign
-		if capped(cv.NetLow) {
-			spend[cv.NetLow] += dc * cv.REffLow
-		}
-		if capped(cv.NetHigh) {
-			spend[cv.NetHigh] += dc * cv.REffHigh
-		}
-	}
-	for k, m := range a {
-		charge(k, m, 1)
-	}
+	// rows encode. The solver checks the normalized rows with a
+	// 1e-6·(1+|RHS|) tolerance, so raw feasibility implies acceptance.
+	spend := sc.netSpend(in, netCap, a)
 	// The set of nets a cap can bind on is fixed by the instance, so it is
 	// collected once (ascending, distinct) instead of rescanning every
 	// column's two bounding nets on each shed pass. Scanning the ascending
@@ -375,10 +408,10 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 	nets := sc.repairNets[:0]
 	for k := range in.Columns {
 		cv := &in.Columns[k]
-		if capped(cv.NetLow) {
+		if netCap.capped(cv.NetLow) {
 			nets = appendNetOnce(nets, cv.NetLow)
 		}
-		if capped(cv.NetHigh) {
+		if netCap.capped(cv.NetHigh) {
 			nets = appendNetOnce(nets, cv.NetHigh)
 		}
 	}
@@ -418,9 +451,9 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 			// unsatisfiable for this incumbent shape; give up.
 			return true, false
 		}
-		charge(best, a[best], -1)
+		netCap.charge(spend, &in.Columns[best], a[best], -1)
 		a[best]--
-		charge(best, a[best], 1)
+		netCap.charge(spend, &in.Columns[best], a[best], 1)
 		deficit++
 	}
 	if deficit == 0 {
@@ -439,10 +472,10 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 			}
 			if cv.DeltaC != nil {
 				dc := cv.DeltaC[m+1] - cv.DeltaC[m]
-				if capped(cv.NetLow) && spend[cv.NetLow]+dc*cv.REffLow > netCap.budgetFor(cv.NetLow) {
+				if netCap.capped(cv.NetLow) && spend[cv.NetLow]+dc*cv.REffLow > netCap.budgetFor(cv.NetLow) {
 					continue
 				}
-				if capped(cv.NetHigh) && spend[cv.NetHigh]+dc*cv.REffHigh > netCap.budgetFor(cv.NetHigh) {
+				if netCap.capped(cv.NetHigh) && spend[cv.NetHigh]+dc*cv.REffHigh > netCap.budgetFor(cv.NetHigh) {
 					continue
 				}
 			}
@@ -454,19 +487,22 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 		if best < 0 {
 			return true, false
 		}
-		charge(best, a[best], -1)
+		netCap.charge(spend, &in.Columns[best], a[best], -1)
 		a[best]++
-		charge(best, a[best], 1)
+		netCap.charge(spend, &in.Columns[best], a[best], 1)
 	}
 	return true, true
 }
 
 // SolveILPII is the paper's ILP-II: BuildILPII's program solved to proven
-// optimality, warm-started with the (cap-repaired) marginal-greedy incumbent.
+// optimality. The (cap-repaired) marginal-greedy incumbent is first checked
+// against the hull-Lagrangian bound; a certified tile returns it with an
+// Optimal solution of zero nodes and pivots, any other tile is branched
+// warm-started with it.
 func SolveILPII(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *ilp.Solution, error) {
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	sol, _, err := sc.solveILPII(in, sc.withOpts(opts), netCap, a)
+	sol, _, err := sc.solveILPII(context.Background(), in, netCap, a, func() *ilp.Options { return sc.withOpts(opts) })
 	return oneOff(a, sol, err)
 }
 
@@ -498,19 +534,42 @@ func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment)
 	return sol, nil
 }
 
-// solveILPII solves ILP-II on the scratch's searcher, writing the assignment
-// into a (zeroed, length == columns). The returned solution is
-// searcher-owned, nil for a trivial instance or a solver error; st carries
-// the search effort and the warm-start repair outcome, which stays set when
-// the search fails.
-func (sc *SolveScratch) solveILPII(in *Instance, opts *ilp.Options, netCap *NetCap, a Assignment) (*ilp.Solution, solveStats, error) {
+// solveILPII solves ILP-II on the scratch, writing the assignment into a
+// (zeroed, length == columns): certify the warm start against the hull
+// bound, else branch (certifyElseBranch). bnbOpts supplies the per-tile B&B
+// options and is called only when the tile branches. The returned solution
+// is searcher-owned, nil for a trivial or certified tile or a solver error;
+// st carries the search effort and the warm-start repair outcome, which
+// stays set when the search fails.
+func (sc *SolveScratch) solveILPII(ctx context.Context, in *Instance, netCap *NetCap, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
+	if len(in.Columns) == 0 || in.F == 0 {
+		return nil, solveStats{}, nil
+	}
+	hull, err := sc.hullSweep(ctx, in)
+	if err != nil {
+		return nil, solveStats{}, err
+	}
+	return sc.certifyElseBranch(in, netCap, hull, a, bnbOpts)
+}
+
+// certifyElseBranch is the one tail ILP-II and DualAscent's fallback share.
+// It writes ILP-II's incumbent into a and accepts it when the hull bound
+// from the last hullSweep (hull is that sweep's assignment, nil when it had
+// no bound) proves it optimal under the searcher's own root-prune rule;
+// otherwise it builds the ILP-II program around the incumbent and runs the
+// branch-and-bound searcher on it.
+func (sc *SolveScratch) certifyElseBranch(in *Instance, netCap *NetCap, hull, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
 	var st solveStats
-	g := sc.buildILPII(in, netCap)
-	if g == nil {
+	st.incRepaired, st.incDropped = sc.ilpiiIncumbent(in, netCap, a)
+	if !st.incDropped && hull != nil && sc.hullCertifies(in, a, hull) {
 		return nil, st, nil
 	}
-	st.incRepaired = g.IncumbentRepaired
-	st.incDropped = g.IncumbentDropped
+	inc := a
+	if st.incDropped {
+		inc = nil
+	}
+	g := sc.buildILPII(in, netCap, inc)
+	opts := bnbOpts()
 	opts.Incumbent = g.Incumbent
 	sol, err := sc.searcher.Solve(g.P, opts)
 	if err != nil {
@@ -522,4 +581,31 @@ func (sc *SolveScratch) solveILPII(in *Instance, opts *ilp.Options, netCap *NetC
 	}
 	g.decodeInto(a, sol.X)
 	return sol, st, nil
+}
+
+// hullCertifies reports whether the hull bound of the sweep assignment hull
+// proves the cap-feasible incumbent inc optimal for the ILP-II program,
+// under the branch-and-bound searcher's own root-prune rule
+// (n.lower >= best − 1e-9 on normalize's scale). The hull bound Σ_k ĉ_k(hull_k)
+// is the optimum of the convexified program, which is exactly the root LP
+// bound of the uncapped indicator formulation; cap rows can only raise the
+// LP bound. So a pass means the searcher would have pruned at the root and
+// returned the validated incumbent itself: the fill is the B&B's by
+// construction (DESIGN.md §13).
+func (sc *SolveScratch) hullCertifies(in *Instance, inc, hull Assignment) bool {
+	cost, bound, scale := 0.0, 0.0, 0.0
+	for k := range in.Columns {
+		cv := &in.Columns[k]
+		cost += cv.costAt(inc[k])
+		bound += sc.hullAt(in, k, hull[k])
+		if cv.CostExact != nil {
+			for m := 0; m <= cv.MaxM; m++ {
+				scale = max(scale, math.Abs(cv.costAt(m)))
+			}
+		}
+	}
+	if scale == 0 {
+		scale = 1 // normalize leaves an all-zero objective unscaled
+	}
+	return (cost-bound)/scale < 1e-9
 }

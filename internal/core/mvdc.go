@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pilfill/internal/density"
+	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 )
 
@@ -282,6 +283,7 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 	defer e.putScratches(scs)
 	sc := scs[0]
 	base := e.ilpOpts(ctx)
+	bnbOpts := func() *ilp.Options { return sc.withOpts(base) }
 	nc := &NetCap{PerNet: perTile}
 	var placeRows []int
 	for _, in := range instances {
@@ -290,7 +292,7 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 		}
 		solveStart := time.Now()
 		a := make(Assignment, len(in.Columns))
-		_, st, err := sc.solveILPII(in, sc.withOpts(base), nc, a)
+		_, st, err := sc.solveILPII(ctx, in, nc, a, bnbOpts)
 		res.ILPNodes += st.nodes
 		res.LPPivots += st.pivots
 		if st.incRepaired {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,6 +161,11 @@ func TestRunMatchesFreshScratchSolves(t *testing.T) {
 func TestWarmRunAllocs(t *testing.T) {
 	eng, budget := buildEngine(t, false, scanline.DefIII)
 	instances := mustInstances(t, eng, budget)
+	// Fixed per-run overhead: Result + PerNet + FillSet + slab + outs +
+	// scratch list + ~log2(placed) fill-append growths + timing. What it
+	// must NOT include is anything proportional to tiles × solve work —
+	// with 4 tiles the old path spent hundreds of allocations per tile.
+	const maxPerRun = 40
 	for _, m := range allMethods {
 		if m == GreedyCapped {
 			continue // identical machinery to Greedy when NetCap is 0
@@ -174,14 +180,59 @@ func TestWarmRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Fixed per-run overhead: Result + PerNet + FillSet + slab + outs +
-		// scratch list + ~log2(placed) fill-append growths + timing. What it
-		// must NOT include is anything proportional to tiles × solve work —
-		// with 4 tiles the old path spent hundreds of allocations per tile.
-		const maxPerRun = 40
 		if avg > maxPerRun {
 			t.Errorf("%v: warm run allocates %.0f times, want <= %d", m, avg, maxPerRun)
 		}
+	}
+
+	// Capped ILP-II with the memo off, so every warm run re-solves every
+	// tile: the layout's tiles pass the certificate (the cap is slack for
+	// them), and the repairInstance tiles, whose repaired incumbent lies
+	// above the hull bound, fall back to branch-and-bound.
+	eng.Cfg.NetCap = 2e-15
+	eng.memo = nil
+	capped := slices.Clone(instances)
+	for i := 0; i < 3; i++ {
+		in := repairInstance()
+		in.I = i
+		for k := range in.Columns {
+			in.Columns[k].Col = &scanline.Column{Col: k}
+			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
+		}
+		capped = append(capped, in)
+	}
+	certified, branched := 0, 0
+	sc := NewSolveScratch()
+	for _, in := range capped {
+		a := make(Assignment, len(in.Columns))
+		sol, st, err := sc.solveILPII(context.Background(), in, &NetCap{MaxAddedDelay: eng.Cfg.NetCap}, a, defaultOpts(sc))
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case sol != nil:
+			branched++
+			if !st.incRepaired {
+				t.Fatalf("tile (%d,%d) branched without a repaired incumbent", in.I, in.J)
+			}
+		case in.F > 0:
+			certified++
+		}
+	}
+	if certified == 0 || branched != 3 {
+		t.Fatalf("capped run covers %d certified and %d branched tiles, want some and 3", certified, branched)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Run(ILPII, capped); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := eng.Run(ILPII, capped); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > maxPerRun {
+		t.Errorf("capped ILP-II: warm run allocates %.0f times, want <= %d", avg, maxPerRun)
 	}
 }
 

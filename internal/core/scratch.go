@@ -39,7 +39,7 @@ type SolveScratch struct {
 	vars     []ilpiiVars
 	netRows  map[int][]float64
 	netKeys  []int
-	tmpA     Assignment // ILP-II incumbent assignment
+	hullA    Assignment // hullSweep's convexified-optimum assignment
 
 	// Heuristic-solver buffers.
 	keys       []costKey
@@ -54,9 +54,9 @@ type SolveScratch struct {
 	choiceArena []int32
 	choiceRows  [][]int32
 
-	// Dual-ascent buffers (see dual.go): the per-unit convexified-marginal
-	// arena, the hull-vertex flag arena, per-column offsets into both, and
-	// the monotone-chain hull stack.
+	// Hull-sweep buffers (see dual.go; ILP-II and DualAscent): the
+	// per-unit convexified-marginal arena, the hull-vertex flag arena,
+	// per-column offsets into both, and the monotone-chain hull stack.
 	dualMarg []float64
 	dualVert []bool
 	dualOff  []int

@@ -17,15 +17,20 @@ import (
 // wrapping a solve span. This is the library-level guarantee behind the
 // `pilfill -trace` CLI flag.
 func TestSessionTraceSpans(t *testing.T) {
-	l, err := GenerateT2()
+	l, err := GenerateT1()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer(0)
 	var logBuf bytes.Buffer
 	logger := obs.NewLogger(&logBuf, slog.LevelDebug, "text")
+	// Progress is reported only by tiles that reach branch-and-bound. The
+	// 1e-14 s net cap makes three T1 tiles' repaired incumbents fail the
+	// hull certificate (every uncapped tile passes it); the node limit keeps
+	// their searches short.
 	s, err := NewSession(l, Options{
-		Window: 32000, R: 2, Rule: DefaultRuleT1T2(), Seed: 3,
+		Window: 51200, R: 4, Rule: DefaultRuleT1T2(), Seed: 3,
+		NetCap: 1e-14, ILPNodeLimit: 200,
 		Workers:           2,
 		Trace:             tr,
 		Logger:            logger,
