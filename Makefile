@@ -4,9 +4,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X pilfill/internal/obs.Version=$(VERSION)"
 
-.PHONY: ci fmt vet bench-vet build test race fuzz-smoke cluster-smoke bench bench-solver bench-solver-short bench-engine bench-engine-short bench-chip bench-chip-short trace-smoke cluster-trace-smoke serve
+.PHONY: ci fmt vet bench-vet build test race fuzz-smoke cluster-smoke bench trace-smoke cluster-trace-smoke serve
 
-ci: fmt vet bench-vet build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke bench-solver-short bench-engine-short bench-chip-short
+ci: fmt vet bench-vet build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -49,45 +49,6 @@ cluster-smoke:
 
 bench:
 	$(GO) test -bench 'EnginePreprocess|MonteCarlo$$' -benchtime 10x -run '^$$' . ./internal/density
-
-# Solver-core comparison (current vs row-based baseline, plus the DualAscent
-# path): runs the BenchmarkILPI/BenchmarkILPII/BenchmarkSimplex
-# microbenchmarks and writes the node/pivot work comparison — with each
-# path's pivots==0 fraction, the dual fallback rate, and bit-equality checks
-# of the dual objective against the ILP optima — to BENCH_solver.json,
-# failing below the 2x work-reduction or 5x dual wall-time floors.
-# bench-solver-short is the single-case CI variant.
-bench-solver:
-	$(GO) test -bench 'ILPI$$|ILPII$$|Simplex' -benchtime 2x -run '^$$' .
-	$(GO) run ./cmd/benchsolver -check -o BENCH_solver.json
-
-bench-solver-short:
-	$(GO) run ./cmd/benchsolver -short -check -o BENCH_solver.json
-
-# End-to-end engine benchmark (warm steady-state solve path): per method
-# tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling curve,
-# written to BENCH_engine.json. Fails above 1.0 allocs/op for any method and
-# case, when ILP-II or DualAscent takes a branch-and-bound node on these
-# uncapped convex cases or their results differ, or when a warm run's result
-# diverges from the warm-up run's.
-# bench-engine-short is the single-case CI variant (no scaling sweep).
-bench-engine:
-	$(GO) run ./cmd/benchengine -check -o BENCH_engine.json
-
-bench-engine-short:
-	$(GO) run ./cmd/benchengine -short -check -o BENCH_engine.json
-
-# Chip-scale dedup benchmark: a synthetic repeating-pattern chip solved with
-# the content-hash tile memo off and on, written to BENCH_chip.json. Fails
-# unless the memo-on run misses exactly once per stored pattern, below the
-# 100x pattern-repetition floor, or on any memo-on vs memo-off result
-# divergence. bench-chip is the full
-# 1000x1000-tile (1M-tile) chip; bench-chip-short is the 100x100 CI variant.
-bench-chip:
-	$(GO) run ./cmd/benchchip -check -o BENCH_chip.json
-
-bench-chip-short:
-	$(GO) run ./cmd/benchchip -short -check -o BENCH_chip_short.json
 
 # Tracing smoke test: run a small case with -trace and validate the Chrome
 # trace-event JSON (parses, has the run/prep/tile/solve span hierarchy).

@@ -1,7 +1,7 @@
 // chip.go defines the chip-level job the coordinator accepts and the shared
 // preparation pipeline: layout in, FFT effective-density budget out, sharded
 // into self-contained region jobs. RunChipLocal runs the same region sequence
-// on one in-process engine (the benchchip masked-budget idiom) — the
+// on one in-process engine, one masked budget per region — the
 // single-process reference a clustered run must match bit for bit.
 package cluster
 
@@ -206,9 +206,9 @@ func PrepareChip(job ChipJob) (*Prep, error) {
 // RunChipLocal is the single-process run of a prepared chip: one whole-chip
 // engine, one masked-budget solve per region in region-index order, gathered
 // through the same MergeRegions the coordinator uses. This is the reference
-// a clustered run must be bit-identical to — and it is itself the benchchip
-// stripe idiom, so it matches a plain whole-chip run whenever the region
-// order coincides with the global instance order (gy = 1).
+// a clustered run must be bit-identical to — and it matches a plain
+// whole-chip run's fill stream whenever the region order coincides with the
+// global instance order (gy = 1).
 func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	m, ok := server.ParseMethod(prep.Job.Method)
 	if !ok {

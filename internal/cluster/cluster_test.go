@@ -130,14 +130,50 @@ func TestClusterBitIdentical(t *testing.T) {
 	}
 }
 
+// TestChipLocalMemoOnOffPinnedHash runs the 100x100-tile repeating-pattern
+// chip (Chip(25, 100), ten stripe regions, elliptic budget to 0.3 under a 0.5
+// cap, ILP-II under a 0.0005 ps net cap) through RunChipLocal with the solve
+// memo on and off. The merged reports must be equal, and the fill hash is
+// pinned: a memo key that lets one tile pattern replay another's fill, or any
+// change to the fill itself, fails here. Under the race detector only the
+// memo-on run goes: the memo-off run re-solves every tile serially and
+// reaches no goroutine the memo-on run does not.
+func TestChipLocalMemoOnOffPinnedHash(t *testing.T) {
+	prep, err := PrepareChip(ChipJob{
+		CellsX: 25, CellsY: 100, GX: 10,
+		Method:    "ILP-II",
+		TargetMin: 0.3, MaxDensity: 0.5,
+		Options: server.SubmitOptions{NetCapPS: 0.0005},
+	})
+	if err != nil {
+		t.Fatalf("PrepareChip: %v", err)
+	}
+	on, err := RunChipLocal(context.Background(), prep)
+	if err != nil {
+		t.Fatalf("RunChipLocal (memo on): %v", err)
+	}
+	if want := "495041322036e911"; on.FillHash != want {
+		t.Fatalf("fill hash %s (%d fills), want %s", on.FillHash, on.FillCount, want)
+	}
+	if raceEnabled {
+		return
+	}
+	prep.Job.Options.NoSolveMemo = true
+	off, err := RunChipLocal(context.Background(), prep)
+	if err != nil {
+		t.Fatalf("RunChipLocal (memo off): %v", err)
+	}
+	assertBitIdentical(t, "memo on vs off", on, off)
+}
+
 // TestLocalReferenceMatchesWholeRun validates the reference itself: with a
 // stripes-only region grid (gy = 1) the region-ordered masked-budget
 // aggregation visits instances in exactly the whole-chip order, so its fill
 // stream matches one plain whole-budget run bit for bit. Delay totals are
 // compared to a relative 1e-12 only: grouping the sum by region re-
 // associates the float additions, which moves the last ulp (the bitwise
-// contract is region-ordered aggregation, per DESIGN.md §10 — benchchip's
-// stripe idiom).
+// contract is region-ordered aggregation, per DESIGN.md §10 — RunChipLocal's
+// region order).
 func TestLocalReferenceMatchesWholeRun(t *testing.T) {
 	prep, err := PrepareChip(testChip("greedy", 3, 1))
 	if err != nil {

@@ -15,10 +15,10 @@ import (
 	"pilfill/internal/server"
 )
 
-// MergedReport is the gathered whole-chip result. Hashes follow benchchip's
-// conventions exactly (FNV-1a fill stream, FNV-1a over per-net delay bits in
-// net order), so bit-identity with a single-process run is checkable by
-// string comparison.
+// MergedReport is the gathered whole-chip result. Its hashes (FNV-1a over
+// the fill stream in server.FillHasher's layout, FNV-1a over per-net delay
+// bits in net order) make bit-identity with a single-process run checkable
+// by string comparison.
 type MergedReport struct {
 	// Method is the placement method, canonical spelling.
 	Method string `json:"method"`
@@ -112,8 +112,8 @@ func MergeRegions(netNames []string, regions []*server.RegionPayload) (*MergedRe
 	return rep, nil
 }
 
-// perNetHash is benchchip's per-net delay hash: FNV-1a over each net's
-// float64 bit pattern in net order, zeros included.
+// perNetHash is the per-net delay hash: FNV-1a over each net's float64
+// bit pattern (little-endian) in net order, zeros included.
 func perNetHash(perNet []float64) string {
 	h := fnv.New64a()
 	var buf [8]byte

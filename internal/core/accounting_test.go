@@ -76,34 +76,6 @@ func TestPerNetSumMatchesUnweightedWeightedObjective(t *testing.T) {
 	}
 }
 
-// resultsIdentical compares everything a Result reports except timing.
-func resultsIdentical(t *testing.T, a, b *Result, label string) {
-	t.Helper()
-	if a.Unweighted != b.Unweighted || a.Weighted != b.Weighted {
-		t.Errorf("%s: delay differs: (%g,%g) vs (%g,%g)",
-			label, a.Unweighted, a.Weighted, b.Unweighted, b.Weighted)
-	}
-	if a.Placed != b.Placed || a.Requested != b.Requested || a.Tiles != b.Tiles {
-		t.Errorf("%s: counts differ", label)
-	}
-	if a.DualFallbacks != b.DualFallbacks {
-		t.Errorf("%s: dual fallbacks differ: %d vs %d", label, a.DualFallbacks, b.DualFallbacks)
-	}
-	for n := range a.PerNet {
-		if a.PerNet[n] != b.PerNet[n] {
-			t.Errorf("%s: PerNet[%d] %g vs %g", label, n, a.PerNet[n], b.PerNet[n])
-		}
-	}
-	if len(a.Fill.Fills) != len(b.Fill.Fills) {
-		t.Fatalf("%s: fill counts differ", label)
-	}
-	for i := range a.Fill.Fills {
-		if a.Fill.Fills[i] != b.Fill.Fills[i] {
-			t.Fatalf("%s: fill %d differs", label, i)
-		}
-	}
-}
-
 func TestCachedEngineMatchesUncached(t *testing.T) {
 	l, d := smallLayout(t)
 	newEng := func(cfg Config) *Engine {
@@ -145,8 +117,8 @@ func TestCachedEngineMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resultsIdentical(t, ru, rc, m.String()+"/cached")
-			resultsIdentical(t, ru, rp, m.String()+"/parallel-cached")
+			requireResultsIdentical(t, m.String()+"/cached", rc, ru)
+			requireResultsIdentical(t, m.String()+"/parallel-cached", rp, ru)
 		}
 	}
 	if s := cached.CacheStats(); s.Misses == 0 || s.Hits == 0 {

@@ -142,8 +142,25 @@ func TestQuickDualAscentMatchesILPII(t *testing.T) {
 // TestDualCertifiesCapModelCurves runs DualAscent over instances built from
 // the real capacitance model: floating-fill cost curves are convex, so every
 // tile must close on the certificate (zero B&B nodes, sol == nil) and still
-// match the exact DP optimum.
+// match the exact DP optimum. On the real T1/20/8 tiles, uncapped engine
+// runs of ILP-II and DualAscent likewise take zero B&B nodes, and their
+// Results are bit-equal.
 func TestDualCertifiesCapModelCurves(t *testing.T) {
+	eng, instances := t1Tiles(t)
+	ilp2, err := eng.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual, err := eng.Run(DualAscent, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ilp2.ILPNodes != 0 || dual.ILPNodes != 0 {
+		t.Fatalf("uncapped T1/20/8 tiles reached branch-and-bound: ILP-II %d nodes, DualAscent %d",
+			ilp2.ILPNodes, dual.ILPNodes)
+	}
+	requireResultsIdentical(t, "T1/20/8 DualAscent vs ILP-II", dual, ilp2)
+
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		in := synthInstance(rng, 2+rng.Intn(8))
@@ -263,7 +280,7 @@ func TestDualFallbackCountsReplayFromMemo(t *testing.T) {
 	if warm.MemoHits != tiles {
 		t.Errorf("warm run: %d hits over %d tiles", warm.MemoHits, tiles)
 	}
-	resultsIdentical(t, cold, warm, "dual-memo")
+	requireResultsIdentical(t, "dual-memo", warm, cold)
 
 	// Uncapped, the same tiles certify: no fallbacks — and since NetCap is
 	// part of the memo fingerprint, the shared memo must not replay the

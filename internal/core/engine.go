@@ -117,9 +117,8 @@ type Config struct {
 	// memo on or off (see memo.go); only the work to produce them changes.
 	Memo *SolveMemo
 	// NoSolveMemo disables tile-solve memoization entirely (every tile is
-	// solved from scratch, the pre-memo behavior); used by benchmarks — the
-	// steady-state solve measurements would otherwise measure memo hits —
-	// and the memo-correctness tests.
+	// solved from scratch, the pre-memo behavior): pilfill -no-solve-memo,
+	// the daemon's no_solve_memo option and the memo-correctness tests.
 	NoSolveMemo bool
 	// Trace optionally records hierarchical spans (prep → analyze/extract,
 	// run → tile → solve, ilp progress instants) into the observability
@@ -455,16 +454,12 @@ type Result struct {
 	// serial and Workers>1 runs report comparable numbers. Wall is the
 	// end-to-end duration of the Run call (under Workers>1 it is smaller
 	// than CPU when tiles overlap).
-	CPU  time.Duration
-	Wall time.Duration
-	// LongestSolve is the single slowest tile's solve duration — with CPU
-	// and the worker count it bounds the best achievable makespan:
-	// Wall >= max(CPU/workers, LongestSolve) + reduction overhead.
-	LongestSolve time.Duration
-	Phases       PhaseTimes // preprocess/solve/evaluate/place breakdown
-	Tiles        int        // instances solved
-	ILPNodes     int        // total branch-and-bound nodes (ILP methods)
-	LPPivots     int        // total simplex pivots across all node LPs (ILP methods)
+	CPU      time.Duration
+	Wall     time.Duration
+	Phases   PhaseTimes // preprocess/solve/evaluate/place breakdown
+	Tiles    int        // instances solved
+	ILPNodes int        // total branch-and-bound nodes (ILP methods)
+	LPPivots int        // total simplex pivots across all node LPs (ILP methods)
 	// MemoHits/MemoMisses count tile solves served from (or stored into) the
 	// solve memo this run. With concurrent workers two tiles of the same
 	// pattern may race past the lookup and both solve, so the split between
@@ -782,9 +777,6 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 			res.DualFallbacks++
 		}
 		res.Phases.Solve += o.dur
-		if o.dur > res.LongestSolve {
-			res.LongestSolve = o.dur
-		}
 		res.SlowestTiles = insertSlowTile(res.SlowestTiles, TileTime{
 			I: in.I + e.Cfg.TileOffI, J: in.J + e.Cfg.TileOffJ,
 			Dur: o.dur, Nodes: o.st.nodes,

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"pilfill/internal/density"
@@ -75,7 +77,7 @@ func requireCertifiedMatchesForced(t *testing.T, label string, sc *SolveScratch,
 }
 
 // TestCertifiedILPIIMatchesForcedBranch is the gate of the certify-first
-// ILP-II path: on real T1/T2 tiles at all six W/r rows (weighted and
+// ILP-II path: on real T1/T2/T3 tiles at all six W/r rows (weighted and
 // unweighted, uncapped and under a loose and a tight per-net cap) and on
 // random convex and non-convex synthetic tiles with and without caps, the
 // assignment is bit-equal to running branch-and-bound on every tile. Both
@@ -87,33 +89,45 @@ func TestCertifiedILPIIMatchesForcedBranch(t *testing.T) {
 	opts := ilp.Options{MaxNodes: 8}
 	// Every stride-th tile of a row: the grid, not the tile count, is what
 	// this test covers, and the oracle branches on every tile.
-	stride, trials := 6, 3000
+	// T3 has about three times T1 and T2's tiles together, so it takes a
+	// coarser stride; building its instances still costs more than solving
+	// them, so the short and race runs cover one T3 row.
+	rows := [][2]int{{32, 2}, {32, 4}, {32, 8}, {20, 2}, {20, 4}, {20, 8}}
+	stride, trials, t3Rows := 6, 3000, rows
 	if testing.Short() || raceEnabled {
-		stride, trials = 48, 500
+		stride, trials, t3Rows = 48, 500, rows[1:2]
 	}
 	sc := NewSolveScratch()
 	var tiles certifyTally
 	cappedFallbacks := 0
 	for _, c := range []struct {
-		name string
-		spec testcases.Spec
-	}{{"T1", testcases.T1()}, {"T2", testcases.T2()}} {
+		name   string
+		spec   testcases.Spec
+		rows   [][2]int
+		stride int
+	}{
+		{"T1", testcases.T1(), rows, stride},
+		{"T2", testcases.T2(), rows, stride},
+		{"T3", testcases.T3(), t3Rows, 5 * stride},
+	} {
 		l, err := testcases.Generate(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wr := range [][2]int{{32, 2}, {32, 4}, {32, 8}, {20, 2}, {20, 4}, {20, 8}} {
+		for _, wr := range c.rows {
 			dis, err := layout.NewDissection(l.Die, testcases.WindowNM(wr[0]), wr[1])
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng, budget := tableEngine(t, l, dis, c.spec.Rule)
 			for _, weighted := range []bool{false, true} {
-				instances := tableInstances(t, l, dis, c.spec.Rule, weighted)
+				eng.Cfg.Weighted = weighted
+				instances := mustInstances(t, eng, budget)
 				for _, capS := range []float64{0, 5e-15, 5e-16} {
 					label := fmt.Sprintf("%s/%d/%d weighted=%v cap=%g", c.name, wr[0], wr[1], weighted, capS)
 					nc := &NetCap{MaxAddedDelay: capS}
 					before := tiles
-					for i := 0; i < len(instances); i += stride {
+					for i := 0; i < len(instances); i += c.stride {
 						requireCertifiedMatchesForced(t, label, sc, instances[i], opts, nc, &tiles)
 					}
 					if capS > 0 {
@@ -150,12 +164,13 @@ func TestCertifiedILPIIMatchesForcedBranch(t *testing.T) {
 	}
 }
 
-// tableInstances prepares one EXPERIMENTS table grid point the way the
-// table harness does: an engine over the dissection and the harness
-// density targets (minimum 0.15, maximum 0.7, seed 1).
-func tableInstances(t *testing.T, l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, weighted bool) []*Instance {
+// tableEngine prepares one EXPERIMENTS table grid point the way the table
+// harness does: an engine over the dissection and the harness density
+// targets (minimum 0.15, maximum 0.7, seed 1). Config.Weighted is read when
+// instances are built, so one engine and budget serve both tables.
+func tableEngine(t *testing.T, l *layout.Layout, dis *layout.Dissection, rule layout.FillRule) (*Engine, density.Budget) {
 	t.Helper()
-	eng, err := NewEngine(l, dis, rule, Config{Weighted: weighted, Seed: 1})
+	eng, err := NewEngine(l, dis, rule, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +179,153 @@ func tableInstances(t *testing.T, l *layout.Layout, dis *layout.Dissection, rule
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustInstances(t, eng, budget)
+	return eng, budget
+}
+
+// t1Tiles is the unweighted T1/20/8 table grid point (2032 tiles), the
+// real-tile fixture of the solver-agreement, certificate and steady-state
+// allocation tests. The engine's memo is off, so every run solves every
+// tile.
+func t1Tiles(t *testing.T) (*Engine, []*Instance) {
+	t.Helper()
+	spec := testcases.T1()
+	l, err := testcases.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dis, err := layout.NewDissection(l.Die, testcases.WindowNM(20), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, budget := tableEngine(t, l, dis, spec.Rule)
+	eng.memo = nil
+	return eng, mustInstances(t, eng, budget)
+}
+
+// canonCost is an assignment's exact cost with its addends summed in sorted
+// order. Float addition is not associative, so two optima that permute fill
+// among equal-cost columns may differ in the last ulp when summed in column
+// order; the sorted sum makes bitwise cost comparisons permutation-invariant.
+func canonCost(in *Instance, a Assignment) float64 {
+	var addends []float64
+	for k, m := range a {
+		if m > 0 && in.Columns[k].CostExact != nil {
+			addends = append(addends, in.Columns[k].CostExact[m])
+		}
+	}
+	sort.Float64s(addends)
+	sum := 0.0
+	for _, v := range addends {
+		sum += v
+	}
+	return sum
+}
+
+// linearized clones an instance with each costed column's exact curve
+// replaced by the linear curve ILP-I optimizes (LinearSlope·m), so a dual
+// solve and a decoded ILP-I optimum compare bitwise on ILP-I's own program
+// rather than within its linearization error.
+func linearized(in *Instance) *Instance {
+	lin := *in
+	lin.Columns = slices.Clone(in.Columns)
+	for k := range lin.Columns {
+		cv := &lin.Columns[k]
+		if cv.CostExact == nil {
+			continue
+		}
+		cost := make([]float64, len(cv.CostExact))
+		for m := 1; m < len(cost); m++ {
+			cost[m] = cv.LinearSlope * float64(m)
+		}
+		cv.CostExact = cost
+	}
+	return &lin
+}
+
+// requireSameOptimum fails unless a solve and the row-based reference agree
+// on a tile's status and, for solved tiles, on the objective to 1e-6
+// relative. Assignments may differ between equal-cost optima.
+func requireSameOptimum(t *testing.T, label string, in *Instance, got, want *ilp.Solution) {
+	t.Helper()
+	if got.Status != want.Status {
+		t.Fatalf("%s tile (%d,%d): status %v, row-based %v", label, in.I, in.J, got.Status, want.Status)
+	}
+	if got.Status != ilp.Optimal && got.Status != ilp.Feasible {
+		return
+	}
+	if math.Abs(got.Objective-want.Objective) > 1e-6*(1+math.Abs(want.Objective)) {
+		t.Fatalf("%s tile (%d,%d): objective %g, row-based %g", label, in.I, in.J, got.Objective, want.Objective)
+	}
+}
+
+// TestTableTilesMatchReferenceSolvers holds every real T1/20/8 tile to
+// three independent references:
+//   - the seeded branch-and-bound (ILP-I warm-started from its greedy
+//     incumbent, ILP-II seeded with marginal greedy) reaches the same status
+//     and objective as the row-based reference solver on both programs;
+//   - DualAscent's cost equals the decoded ILP-II optimum bitwise;
+//   - DualAscent on the linearized tile equals the ILP-I optimum bitwise.
+func TestTableTilesMatchReferenceSolvers(t *testing.T) {
+	_, instances := t1Tiles(t)
+	opts := ilp.Options{MaxNodes: 20000}
+	compared := 0
+	for _, in := range instances {
+		p, inc := BuildILPI(in)
+		if p == nil {
+			continue // nothing to place: every path returns the zero assignment
+		}
+		o := opts
+		o.Incumbent, o.WarmStart = inc, true
+		solI, err := ilp.Solve(p, &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ilp.SolveRowBased(p, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameOptimum(t, "ILP-I", in, solI, ref)
+
+		g := BuildILPII(in, nil)
+		o = opts
+		o.Incumbent = g.Incumbent
+		solII, err := ilp.Solve(g.P, &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, err = ilp.SolveRowBased(g.P, &opts); err != nil {
+			t.Fatal(err)
+		}
+		requireSameOptimum(t, "ILP-II", in, solII, ref)
+		if solI.Status != ilp.Optimal || solII.Status != ilp.Optimal {
+			continue // a node-limited solve pins no optimum
+		}
+
+		aDual, _, _, err := SolveDualAscent(context.Background(), in, &opts, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := canonCost(in, aDual), canonCost(in, g.Decode(solII.X)); got != want {
+			t.Fatalf("tile (%d,%d): DualAscent cost %g != ILP-II optimum %g", in.I, in.J, got, want)
+		}
+		lin := linearized(in)
+		aLin, _, _, err := SolveDualAscent(context.Background(), lin, &opts, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aI := make(Assignment, len(in.Columns))
+		for k := range aI {
+			aI[k] = int(solI.X[k] + 0.5)
+		}
+		if got, want := canonCost(lin, aLin), canonCost(lin, aI); got != want {
+			t.Fatalf("tile (%d,%d): linearized DualAscent cost %g != ILP-I optimum %g", in.I, in.J, got, want)
+		}
+		compared++
+	}
+	t.Logf("%d of %d tiles compared to proven optima", compared, len(instances))
+	if compared < len(instances)/2 {
+		t.Fatalf("only %d of %d tiles reached a proven optimum on both programs", compared, len(instances))
+	}
 }
 
 // TestHullCertificateIsTheRootPrune pins the certificate's threshold to the

@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"pilfill/internal/density"
+	"pilfill/internal/layout"
 	"pilfill/internal/scanline"
+	"pilfill/internal/testcases"
 )
 
 // fpColumn builds a synthetic attributed column for fingerprint tests.
@@ -137,7 +140,7 @@ func TestMemoSecondRunAllHits(t *testing.T) {
 		if warm.MemoHits != warm.Tiles || warm.MemoMisses != 0 {
 			t.Errorf("%v warm run: hits %d misses %d, want %d hits", m, warm.MemoHits, warm.MemoMisses, warm.Tiles)
 		}
-		resultsIdentical(t, cold, warm, m.String()+"/memo-warm")
+		requireResultsIdentical(t, m.String()+"/memo-warm", warm, cold)
 	}
 
 	// The Normal baseline is position-seeded and must bypass the memo.
@@ -183,12 +186,52 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resultsIdentical(t, rOff, rOn, m.String()+"/memo-on")
-			if rOff.ILPNodes != rOn.ILPNodes || rOff.LPPivots != rOn.LPPivots {
-				t.Errorf("%v pass %d: solver work differs: nodes %d/%d pivots %d/%d",
-					m, pass, rOff.ILPNodes, rOn.ILPNodes, rOff.LPPivots, rOn.LPPivots)
-			}
+			requireResultsIdentical(t, m.String()+"/memo-on", rOn, rOff)
 		}
+	}
+}
+
+// TestChipMemoMissesOncePerPattern solves the 100x100-tile repeating-pattern
+// chip (testcases.Chip(25, 100), window 12800 nm, r = 4, elliptic-kernel FFT
+// budget to a minimum effective density of 0.3 under a 0.5 cap, ILP-II under
+// a 5e-16 s net cap) serially on a fresh memo. Every distinct tile pattern
+// must miss exactly once, so the misses equal the stored entries, and the
+// tiles must repeat those patterns at least 100 times over. A fingerprint
+// that leaves out a solve input either splits one pattern into several
+// entries or merges two.
+func TestChipMemoMissesOncePerPattern(t *testing.T) {
+	spec := testcases.Chip(25, 100)
+	l, err := testcases.GenerateChip(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dis, err := layout.NewDissection(l.Die, 12800, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewSolveMemo()
+	eng, err := NewEngine(l, dis, spec.Rule, Config{Seed: 1, NetCap: 5e-16, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := density.NewGrid(l, dis, eng.Occ, 0)
+	budget, _, err := density.FFTBudget(grid, density.NewKernel(density.EllipticKernel, 4),
+		density.FFTBudgetOptions{TargetMin: 0.3, MaxDensity: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ILPII, mustInstances(t, eng, budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := memo.Stats()
+	t.Logf("%d tiles, %d misses, %+v", res.Tiles, res.MemoMisses, s)
+	if res.MemoMisses != s.Entries || s.Entries == 0 {
+		t.Errorf("%d misses for %d stored patterns", res.MemoMisses, s.Entries)
+	}
+	if res.Tiles < 100*s.Entries {
+		t.Errorf("%d tiles repeat %d patterns only %.0f times, want >= 100",
+			res.Tiles, s.Entries, float64(res.Tiles)/float64(s.Entries))
 	}
 }
 
@@ -228,7 +271,7 @@ func TestMemoConcurrentRunsShareMemo(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatal(errs[r])
 		}
-		resultsIdentical(t, want, results[r], "concurrent")
+		requireResultsIdentical(t, "concurrent", results[r], want)
 	}
 	if s := memo.Stats(); s.Hits == 0 || s.Entries == 0 {
 		t.Errorf("memo never shared: %+v", s)

@@ -234,6 +234,36 @@ func TestWarmRunAllocs(t *testing.T) {
 	if avg > maxPerRun {
 		t.Errorf("capped ILP-II: warm run allocates %.0f times, want <= %d", avg, maxPerRun)
 	}
+
+	// The same per-run ceiling over the 2032 real T1/20/8 tiles, for every
+	// method: one allocation per tile solve would be fifty times over it.
+	// GreedyCapped runs under a cap that binds, so its spend map is live.
+	eng, instances = t1Tiles(t)
+	for _, m := range allMethods {
+		eng.Cfg.NetCap = 0
+		if m == GreedyCapped {
+			eng.Cfg.NetCap = 2e-17
+		}
+		var res *Result
+		for i := 0; i < 2; i++ {
+			var err error
+			if res, err = eng.Run(m, instances); err != nil {
+				t.Fatalf("T1/20/8 %v: %v", m, err)
+			}
+		}
+		if m == GreedyCapped && res.Placed == res.Requested {
+			t.Fatalf("NetCap %g does not bind GreedyCapped on T1/20/8", eng.Cfg.NetCap)
+		}
+		avg := testing.AllocsPerRun(3, func() {
+			if _, err := eng.Run(m, instances); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("T1/20/8 %v: %.0f allocs per warm run over %d tiles", m, avg, len(instances))
+		if avg > maxPerRun {
+			t.Errorf("T1/20/8 %v: warm run allocates %.0f times, want <= %d", m, avg, maxPerRun)
+		}
+	}
 }
 
 // TestConcurrentRunsSharePool hammers the engine's scratch freelist from

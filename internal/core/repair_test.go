@@ -301,5 +301,5 @@ func TestRunCountsRepairedIncumbents(t *testing.T) {
 		t.Errorf("memo replay changed repair counters: %d/%d vs %d/%d",
 			cold.IncumbentsRepaired, cold.IncumbentsDropped, warm.IncumbentsRepaired, warm.IncumbentsDropped)
 	}
-	resultsIdentical(t, cold, warm, "capped-memo")
+	requireResultsIdentical(t, "capped-memo", warm, cold)
 }

@@ -40,8 +40,7 @@ type Cell struct {
 	CPU  time.Duration
 	Wall time.Duration
 	// Nodes and Pivots count branch-and-bound nodes and simplex pivots for
-	// the ILP methods (zero for the others) — the work measure tracked by
-	// the solver benchmarks.
+	// the ILP methods (zero for the others).
 	Nodes  int
 	Pivots int
 	// Fallbacks counts DualAscent tiles re-solved by branch-and-bound
@@ -92,40 +91,6 @@ func layoutFor(name string) (*layout.Layout, layout.FillRule, error) {
 	}
 	l, err := testcases.Generate(spec)
 	return l, spec.Rule, err
-}
-
-// BuildInstances prepares one benchmark grid point the same way RunRow does
-// before solving: generate the named testcase, dissect at (W, r), build an
-// engine with the given config, and budget fill with the harness density
-// targets. Shared by cmd/benchsolver and cmd/benchengine so every benchmark
-// measures the identical instance family.
-func BuildInstances(caseName string, w, r int, cfg core.Config) (*core.Engine, []*core.Instance, error) {
-	l, rule, err := layoutFor(caseName)
-	if err != nil {
-		return nil, nil, err
-	}
-	dis, err := layout.NewDissection(l.Die, testcases.WindowNM(w), r)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := core.NewEngine(l, dis, rule, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	grid := density.NewGrid(l, dis, eng.Occ, 0)
-	budget, _, err := density.MonteCarlo(grid, density.MonteCarloOptions{
-		TargetMin:  TargetMinDensity,
-		MaxDensity: MaxDensity,
-		Seed:       1,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	instances, err := eng.Instances(budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng, instances, nil
 }
 
 // Obs carries the optional observability hooks of a harness run: a span

@@ -12,9 +12,10 @@ import (
 // decision encoded as an explicit constraint row, a fresh simplex tableau
 // allocated per node, and no incumbent seeding or bound tightening. It
 // returns exactly the same statuses and optimal objectives as Solve (both
-// are exact), and exists as the measurement baseline for the solver
-// benchmarks (cmd/benchsolver, BENCH_solver.json) and as the reference model
-// in equivalence tests. Options.Incumbent is ignored.
+// are exact), and exists as the independent reference that equivalence
+// tests compare Solve against, on random programs and on every real ILP-I
+// and ILP-II tile program of a table grid point. Options.Incumbent is
+// ignored.
 func SolveRowBased(p *Problem, opts *Options) (*Solution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err

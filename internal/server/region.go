@@ -81,7 +81,7 @@ type RegionPayload struct {
 	// zero entries are omitted.
 	PerNet map[string]float64 `json:"per_net,omitempty"`
 	// Fills are the placed fill sites in chip coordinates ([col, row]), in
-	// placement order; FillHash is their FNV-1a hash (benchchip's layout:
+	// placement order; FillHash is their FNV-1a hash (FillHasher's layout:
 	// little-endian col then row, 16 bytes per fill).
 	Fills    [][2]int `json:"fills"`
 	FillHash string   `json:"fill_hash"`
@@ -113,8 +113,8 @@ func slowTilesOf(res *core.Result) []TileMS {
 	return out
 }
 
-// FillHasher accumulates the FNV-1a fill hash in benchchip's byte layout
-// (little-endian col then row, 16 bytes per fill). Create with
+// FillHasher accumulates the FNV-1a fill hash of a fill stream: 16 bytes
+// per fill, little-endian col then row. Create with
 // NewFillHasher; the coordinator uses the same type to hash the merged fill
 // stream, so worker and gather hashes are one implementation.
 type FillHasher struct {
@@ -134,7 +134,7 @@ func (fh *FillHasher) Add(col, row int) {
 	fh.n++
 }
 
-// Sum returns the hash in the "%016x" form benchchip reports.
+// Sum returns the hash as 16 lowercase hex digits ("%016x").
 func (fh *FillHasher) Sum() string { return fmt.Sprintf("%016x", fh.h.Sum64()) }
 
 // Count returns how many fills were hashed.

@@ -318,9 +318,9 @@ func (jb *Job) contentHash(rule layout.FillRule) string {
 }
 
 // MaskedBudget returns a copy of the chip-wide budget zeroed outside the
-// rectangle — the single-process reference path solves each region this way
-// on one whole-chip engine (exactly the benchchip stripe idiom), which the
-// cluster e2e tests compare the distributed gather against.
+// rectangle — the single-process reference path (cluster.RunChipLocal)
+// solves each region this way on one whole-chip engine, in region order,
+// and the cluster e2e tests compare the distributed gather against it.
 func MaskedBudget(b density.Budget, rect TileRect) density.Budget {
 	out := make(density.Budget, len(b))
 	for i := range b {

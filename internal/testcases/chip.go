@@ -1,11 +1,11 @@
-// chip.go generates the synthetic repeating-pattern chip used by
-// cmd/benchchip: one cell — a pair of short horizontal local lines — tiled
+// chip.go generates the synthetic repeating-pattern chip behind the
+// cluster chip jobs, the repo benchmark's chip workloads and the chip-scale
+// memo tests: one cell — a pair of short horizontal local lines — tiled
 // across the die with exact periodicity. Every interior cell is a geometric
 // translate of every other, so under a fixed dissection the distinct
 // per-tile solve patterns number in the dozens while the tile count runs to
-// millions. That ratio (tiles per distinct pattern) is what the chip-scale
-// solve memo exploits, and what BENCH_chip.json reports as the pattern
-// repetition factor.
+// millions. That ratio (tiles per distinct pattern, the pattern repetition
+// factor) is what the chip-scale solve memo exploits.
 package testcases
 
 import (
@@ -30,8 +30,8 @@ type ChipSpec struct {
 }
 
 // Chip returns the default chip spec: 12800 x 3200 nm cells (4 x 1 tiles
-// under the benchchip dissection of window 12800, r = 4) with a 300 nm line
-// pair at 17% drawn density.
+// under the chip jobs' default dissection of window 12800, r = 4) with a
+// 300 nm line pair at 17% drawn density.
 func Chip(cellsX, cellsY int) ChipSpec {
 	return ChipSpec{
 		Name:   "chip",
