@@ -53,7 +53,7 @@ func main() {
 		caseName = flag.String("case", "T1", "built-in testcase when -in is empty: T1 or T2")
 		window   = flag.Int("window", 32, "window size in W units of 1.6 um (paper: 32 or 20)")
 		r        = flag.Int("r", 4, "dissection factor r (paper: 2, 4, 8)")
-		method   = flag.String("method", "ILP-II", "Normal|Greedy|ILP-I|ILP-II|DP|MarginalGreedy|GreedyCapped|DualAscent|all")
+		method   = flag.String("method", "ILP-II", "Normal|Greedy|ILP-I|ILP-II|DP|MarginalGreedy|GreedyCapped|all")
 		weighted = flag.Bool("weighted", false, "optimize the sink-weighted objective (Table 2)")
 		defName  = flag.Int("slackdef", 3, "slack column definition: 1, 2, or 3")
 		seed     = flag.Int64("seed", 1, "random seed for budgeting and the Normal baseline")
@@ -184,7 +184,7 @@ func main() {
 
 	var methods []core.Method
 	if strings.EqualFold(*method, "all") {
-		methods = []core.Method{core.Normal, core.ILPI, core.ILPII, core.Greedy, core.DualAscent}
+		methods = []core.Method{core.Normal, core.ILPI, core.ILPII, core.Greedy}
 	} else {
 		m, ok := server.ParseMethod(*method)
 		if !ok {

@@ -41,6 +41,20 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
+func TestRunContextPreCancelledILPII(t *testing.T) {
+	// ILP-II honors cancellation inside the hull sweep that certifies its
+	// warm start, not only at tile boundaries.
+	s := t2Session(t, Options{Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RunContext(ctx, ILPII); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled RunContext err = %v, want context.Canceled", err)
+	}
+	if _, err := s.RunContext(context.Background(), ILPII); err != nil {
+		t.Fatalf("run after cancelled run: %v", err)
+	}
+}
+
 func TestRunContextDeadlineMidSolve(t *testing.T) {
 	l, err := GenerateT1()
 	if err != nil {
@@ -74,20 +88,6 @@ func TestRunContextDeadlineMidSolve(t *testing.T) {
 	}
 	if rep.Result.Placed != rep.Result.Requested {
 		t.Fatalf("post-cancel run placed %d of %d", rep.Result.Placed, rep.Result.Requested)
-	}
-}
-
-func TestRunContextPreCancelledDualAscent(t *testing.T) {
-	// DualAscent honors cancellation inside the dual sweep itself (per hull
-	// column and per λ-breakpoint batch), not only at tile boundaries.
-	s := t2Session(t, Options{Seed: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunContext(ctx, DualAscent); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled RunContext err = %v, want context.Canceled", err)
-	}
-	if _, err := s.RunContext(context.Background(), DualAscent); err != nil {
-		t.Fatalf("run after cancelled run: %v", err)
 	}
 }
 

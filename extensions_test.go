@@ -150,7 +150,7 @@ func min(a, b int) int {
 
 func TestEveryMethodIsDRCClean(t *testing.T) {
 	s := smallSession(t)
-	for _, m := range []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy, DualAscent} {
+	for _, m := range []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy} {
 		rep, err := s.Run(m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

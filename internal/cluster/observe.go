@@ -43,11 +43,10 @@ type RegionProgress struct {
 	// TilesPlanned estimates the region's tile count from its budget (tiles
 	// with budget > 0); TilesTotal is the authoritative count once the worker
 	// reports it (tiles without slack columns never become instances).
-	TilesPlanned  int `json:"tiles_planned"`
-	TilesTotal    int `json:"tiles_total,omitempty"`
-	TilesDone     int `json:"tiles_done"`
-	MemoHits      int `json:"memo_hits,omitempty"`
-	DualFallbacks int `json:"dual_fallbacks,omitempty"`
+	TilesPlanned int `json:"tiles_planned"`
+	TilesTotal   int `json:"tiles_total,omitempty"`
+	TilesDone    int `json:"tiles_done"`
+	MemoHits     int `json:"memo_hits,omitempty"`
 	// PredictedCost is the region's scatter-planning cost proxy (total fill
 	// budget); /statusz plots elapsed time against it to spot stragglers.
 	PredictedCost int64      `json:"predicted_cost"`
@@ -71,7 +70,6 @@ type ChipProgress struct {
 	TilesDone   int              `json:"tiles_done"`
 	TilesTotal  int              `json:"tiles_total"`
 	MemoHits    int              `json:"memo_hits,omitempty"`
-	DualFalls   int              `json:"dual_fallbacks,omitempty"`
 }
 
 // regionState is the mutable record behind one RegionProgress entry.
@@ -192,7 +190,6 @@ func (r *ChipRun) regionProgress(id string, pp *server.ProgressPayload) {
 	st.TilesDone = max(st.TilesDone, pp.TilesDone)
 	st.TilesTotal = max(st.TilesTotal, pp.TilesTotal)
 	st.MemoHits = max(st.MemoHits, pp.MemoHits)
-	st.DualFallbacks = max(st.DualFallbacks, pp.DualFallbacks)
 }
 
 // regionDone records a region's terminal payload: the authoritative tile
@@ -267,7 +264,6 @@ func (r *ChipRun) Progress() *ChipProgress {
 		out.Regions = append(out.Regions, rp)
 		out.TilesDone += rp.TilesDone
 		out.MemoHits += rp.MemoHits
-		out.DualFalls += rp.DualFallbacks
 		switch rp.State {
 		case "done", "cached":
 			out.RegionsDone++

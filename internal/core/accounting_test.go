@@ -27,7 +27,7 @@ func perNetSum(t *testing.T, res *Result, label string) {
 }
 
 func TestPerNetSumMatchesUnweighted(t *testing.T) {
-	methods := []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped, DualAscent}
+	methods := []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped}
 	for _, tc := range []struct {
 		name     string
 		activity func(nets int) []float64

@@ -22,11 +22,9 @@ import (
 type Method int
 
 // Placement methods. Normal is the density-only baseline; Greedy, ILPI and
-// ILPII are the paper's three approaches; DP, MarginalGreedy, GreedyCapped
-// and DualAscent are this implementation's extensions (exact reference,
-// provably-optimal greedy, the footnote's bounded-net-delay variant, and the
-// certificate-checked Lagrangian exact solver — ILP-II's optimum without its
-// branch-and-bound on most tiles, see dual.go).
+// ILPII are the paper's three approaches; DP, MarginalGreedy and
+// GreedyCapped are this implementation's extensions (exact reference,
+// provably-optimal greedy, and the footnote's bounded-net-delay variant).
 const (
 	Normal Method = iota
 	Greedy
@@ -35,7 +33,6 @@ const (
 	DP
 	MarginalGreedy
 	GreedyCapped
-	DualAscent
 )
 
 // String names the method as in the paper's tables.
@@ -55,8 +52,6 @@ func (m Method) String() string {
 		return "MarginalGreedy"
 	case GreedyCapped:
 		return "GreedyCapped"
-	case DualAscent:
-		return "DualAscent"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
@@ -73,12 +68,6 @@ type Config struct {
 	// in seconds (interconnect deltas are femtoseconds, far below what
 	// time.Duration can represent). 0 disables the bound.
 	NetCap float64
-	// DualGapTol is the DualAscent certificate's relative duality-gap
-	// acceptance threshold; 0 selects DualGapTolDefault (1e-9). Assignments
-	// whose gap exceeds it fall back to branch-and-bound, so loosening the
-	// knob trades certainty for speed only through the fallback rate, never
-	// through accepted-but-unproven results beyond the threshold.
-	DualGapTol float64
 	// Activity optionally holds per-net switching activities in [0, 1] for
 	// crosstalk-aware costing (after Kahng/Muddu/Sarto's switch factors):
 	// the coupling a column adds to a victim line is scaled by
@@ -149,12 +138,11 @@ type Config struct {
 // TileOffI/TileOffJ), so region shards report positions consistent with the
 // whole-chip run.
 type TileEvent struct {
-	I, J         int
-	MemoHit      bool
-	DualFallback bool
-	Nodes        int
-	LPPivots     int
-	Dur          time.Duration
+	I, J     int
+	MemoHit  bool
+	Nodes    int
+	LPPivots int
+	Dur      time.Duration
 }
 
 // PrepStats breaks down the engine's preprocessing wall time. Analyze and
@@ -473,11 +461,6 @@ type Result struct {
 	// net cap is configured.
 	IncumbentsRepaired int
 	IncumbentsDropped  int
-	// DualFallbacks counts DualAscent tiles whose optimality certificate did
-	// not close (duality gap above Config.DualGapTol, or a per-net cap
-	// violated by the certified assignment) and that were re-solved by
-	// branch-and-bound. Always zero for other methods.
-	DualFallbacks int
 	// SlowestTiles holds the top slowest tile solves (at most
 	// MaxSlowestTiles, slowest first) with chip-grid coordinates — the per-
 	// region slice of the cluster-wide "which tiles ate the time" table.
@@ -503,7 +486,6 @@ type TileTime struct {
 type solveStats struct {
 	nodes, pivots           int
 	incRepaired, incDropped bool
-	dualFallback            bool
 }
 
 // ilpOpts copies the configured branch-and-bound limits and, when the
@@ -602,8 +584,6 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 		}
 	case ILPII:
 		_, st, err = sc.solveILPII(ctx, in, nc, a, bnbOpts)
-	case DualAscent:
-		_, st, err = sc.solveDual(ctx, in, nc, e.dualGapTol(), a, bnbOpts)
 	default:
 		return st, fmt.Errorf("core: unknown method %v", method)
 	}
@@ -704,8 +684,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 				// pattern produces, so downstream accounting is bit-identical.
 				copy(outs[i].a, ent.a)
 				st = solveStats{nodes: ent.nodes, pivots: ent.pivots,
-					incRepaired: ent.incRepaired, incDropped: ent.incDropped,
-					dualFallback: ent.dualFallback}
+					incRepaired: ent.incRepaired, incDropped: ent.incDropped}
 				hit = true
 			}
 		}
@@ -729,8 +708,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		if cb := e.Cfg.OnTile; cb != nil && err == nil {
 			cb(TileEvent{
 				I: in.I + e.Cfg.TileOffI, J: in.J + e.Cfg.TileOffJ,
-				MemoHit: hit, DualFallback: st.dualFallback,
-				Nodes: st.nodes, LPPivots: st.pivots, Dur: dur,
+				MemoHit: hit, Nodes: st.nodes, LPPivots: st.pivots, Dur: dur,
 			})
 		}
 	}
@@ -772,9 +750,6 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		}
 		if o.st.incDropped {
 			res.IncumbentsDropped++
-		}
-		if o.st.dualFallback {
-			res.DualFallbacks++
 		}
 		res.Phases.Solve += o.dur
 		res.SlowestTiles = insertSlowTile(res.SlowestTiles, TileTime{

@@ -94,7 +94,7 @@ func TestEngineEndToEndAllMethods(t *testing.T) {
 	}
 
 	results := map[Method]*Result{}
-	for _, m := range []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy, DualAscent} {
+	for _, m := range []Method{Normal, Greedy, ILPI, ILPII, DP, MarginalGreedy} {
 		res, err := eng.Run(m, instances)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

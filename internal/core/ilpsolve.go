@@ -496,9 +496,9 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 
 // SolveILPII is the paper's ILP-II: BuildILPII's program solved to proven
 // optimality. The (cap-repaired) marginal-greedy incumbent is first checked
-// against the hull-Lagrangian bound; a certified tile returns it with an
-// Optimal solution of zero nodes and pivots, any other tile is branched
-// warm-started with it.
+// against the hull bound; a certified tile returns it with an Optimal
+// solution of zero nodes and pivots, any other tile is branched warm-started
+// with it.
 func SolveILPII(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *ilp.Solution, error) {
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
@@ -535,31 +535,23 @@ func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment)
 }
 
 // solveILPII solves ILP-II on the scratch, writing the assignment into a
-// (zeroed, length == columns): certify the warm start against the hull
-// bound, else branch (certifyElseBranch). bnbOpts supplies the per-tile B&B
-// options and is called only when the tile branches. The returned solution
-// is searcher-owned, nil for a trivial or certified tile or a solver error;
-// st carries the search effort and the warm-start repair outcome, which
-// stays set when the search fails.
+// (zeroed, length == columns). It writes the (cap-repaired) marginal-greedy
+// incumbent into a and accepts it when the hull bound proves it optimal
+// under the searcher's own root-prune rule (hullCertifies); otherwise it
+// builds the ILP-II program around the incumbent and branches. bnbOpts
+// supplies the per-tile B&B options and is called only when the tile
+// branches. The returned solution is searcher-owned, nil for a trivial or
+// certified tile or a solver error; st carries the search effort and the
+// warm-start repair outcome, which stays set when the search fails.
 func (sc *SolveScratch) solveILPII(ctx context.Context, in *Instance, netCap *NetCap, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
+	var st solveStats
 	if len(in.Columns) == 0 || in.F == 0 {
-		return nil, solveStats{}, nil
+		return nil, st, nil
 	}
 	hull, err := sc.hullSweep(ctx, in)
 	if err != nil {
-		return nil, solveStats{}, err
+		return nil, st, err
 	}
-	return sc.certifyElseBranch(in, netCap, hull, a, bnbOpts)
-}
-
-// certifyElseBranch is the one tail ILP-II and DualAscent's fallback share.
-// It writes ILP-II's incumbent into a and accepts it when the hull bound
-// from the last hullSweep (hull is that sweep's assignment, nil when it had
-// no bound) proves it optimal under the searcher's own root-prune rule;
-// otherwise it builds the ILP-II program around the incumbent and runs the
-// branch-and-bound searcher on it.
-func (sc *SolveScratch) certifyElseBranch(in *Instance, netCap *NetCap, hull, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
-	var st solveStats
 	st.incRepaired, st.incDropped = sc.ilpiiIncumbent(in, netCap, a)
 	if !st.incDropped && hull != nil && sc.hullCertifies(in, a, hull) {
 		return nil, st, nil
@@ -581,31 +573,4 @@ func (sc *SolveScratch) certifyElseBranch(in *Instance, netCap *NetCap, hull, a 
 	}
 	g.decodeInto(a, sol.X)
 	return sol, st, nil
-}
-
-// hullCertifies reports whether the hull bound of the sweep assignment hull
-// proves the cap-feasible incumbent inc optimal for the ILP-II program,
-// under the branch-and-bound searcher's own root-prune rule
-// (n.lower >= best − 1e-9 on normalize's scale). The hull bound Σ_k ĉ_k(hull_k)
-// is the optimum of the convexified program, which is exactly the root LP
-// bound of the uncapped indicator formulation; cap rows can only raise the
-// LP bound. So a pass means the searcher would have pruned at the root and
-// returned the validated incumbent itself: the fill is the B&B's by
-// construction (DESIGN.md §13).
-func (sc *SolveScratch) hullCertifies(in *Instance, inc, hull Assignment) bool {
-	cost, bound, scale := 0.0, 0.0, 0.0
-	for k := range in.Columns {
-		cv := &in.Columns[k]
-		cost += cv.costAt(inc[k])
-		bound += sc.hullAt(in, k, hull[k])
-		if cv.CostExact != nil {
-			for m := 0; m <= cv.MaxM; m++ {
-				scale = max(scale, math.Abs(cv.costAt(m)))
-			}
-		}
-	}
-	if scale == 0 {
-		scale = 1 // normalize leaves an all-zero objective unscaled
-	}
-	return (cost-bound)/scale < 1e-9
 }

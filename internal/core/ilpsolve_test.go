@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"pilfill/internal/density"
 	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
+	"pilfill/internal/scanline"
 	"pilfill/internal/testcases"
 )
 
@@ -164,6 +166,158 @@ func TestCertifiedILPIIMatchesForcedBranch(t *testing.T) {
 	}
 }
 
+// TestDualCertifiesCapModelCurves holds ILP-II's hull certificate to the
+// real capacitance model: floating-fill cost curves are convex, so uncapped
+// ILP-II takes zero B&B nodes on the real T1/20/8 tiles, and on 200
+// synthetic cap-model tiles it certifies (zero nodes) and still matches the
+// exact DP optimum.
+func TestDualCertifiesCapModelCurves(t *testing.T) {
+	eng, instances := t1Tiles(t)
+	res, err := eng.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ILPNodes != 0 {
+		t.Fatalf("uncapped T1/20/8 tiles reached branch-and-bound: %d nodes", res.ILPNodes)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		in := synthInstance(rng, 2+rng.Intn(8))
+		a, sol, err := SolveILPII(in, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Nodes != 0 {
+			t.Fatalf("trial %d: convex cap-model instance branched (%d nodes)", trial, sol.Nodes)
+		}
+		if err := in.Valid(a); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		dpA, err := SolveDP(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, opt := in.Cost(a), in.Cost(dpA)
+		if math.Abs(c-opt) > 1e-9*math.Max(opt, 1e-30)+1e-25 {
+			t.Fatalf("trial %d: ILP-II cost %g, DP optimum %g", trial, c, opt)
+		}
+	}
+}
+
+// TestSolveILPIIContextCancelled: a cancelled context stops ILP-II in the
+// hull sweep (which polls per column and every hullPollEvery heap pops),
+// before the warm start is built or the searcher is set up, and the same
+// scratch still solves the tile with a live context.
+func TestSolveILPIIContextCancelled(t *testing.T) {
+	in := dualSynthInstance(rand.New(rand.NewSource(3)), 8, true)
+	if in.F == 0 {
+		in.F = 1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc := NewSolveScratch()
+	a := make(Assignment, len(in.Columns))
+	noBranch := func() *ilp.Options {
+		t.Fatal("cancelled solve reached branch-and-bound")
+		return nil
+	}
+	_, st, err := sc.solveILPII(ctx, in, nil, a, noBranch)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st != (solveStats{}) || slices.ContainsFunc(a, func(m int) bool { return m != 0 }) {
+		t.Fatalf("cancelled solve got past the hull sweep: stats %+v, assignment %v", st, a)
+	}
+	if _, _, err := sc.solveILPII(context.Background(), in, nil, a, defaultOpts(sc)); err != nil {
+		t.Fatalf("solve after cancelled solve: %v", err)
+	}
+	if err := in.Valid(a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dualSynthInstance builds a random tile whose exact cost curves are small-
+// integer-valued: every objective sum is exact in float64 and distinct
+// objectives differ by at least 1, so optimality comparisons against the
+// branch-and-bound path are bit-exact rather than tolerance-based. convex
+// selects non-decreasing integer marginals (every integer point a hull
+// vertex — the certificate path); otherwise marginals may dip, grounded-fill
+// style, so the true curve can sit strictly above its hull and the
+// certificate can fail and send the tile to branch-and-bound.
+func dualSynthInstance(rng *rand.Rand, nCols int, convex bool) *Instance {
+	in := &Instance{}
+	total := 0
+	for k := 0; k < nCols; k++ {
+		capacity := 1 + rng.Intn(5)
+		cv := ColumnVar{
+			Col:    &scanline.Column{Col: k, Capacity: capacity},
+			MaxM:   capacity,
+			NetLow: -1, NetHigh: -1,
+		}
+		if rng.Float64() < 0.85 {
+			n := capacity + 1
+			cost := make([]float64, n)
+			dc := make([]float64, n)
+			marg := float64(rng.Intn(3))
+			for m := 1; m < n; m++ {
+				if convex {
+					marg += float64(rng.Intn(4))
+				} else {
+					marg = float64(rng.Intn(8))
+				}
+				cost[m] = cost[m-1] + marg
+				dc[m] = dc[m-1] + float64(1+rng.Intn(3))
+			}
+			cv.CostExact = cost
+			cv.DeltaC = dc
+			cv.EvalUnweighted = cost
+			cv.EvalWeighted = cost
+			cv.LinearSlope = cost[n-1] / float64(capacity)
+			cv.NetLow = rng.Intn(3)
+			cv.RLow = 1
+			cv.REffLow = 1
+			if rng.Intn(3) == 0 {
+				cv.NetHigh = 3 + rng.Intn(2)
+				cv.RHigh = 1
+				cv.REffHigh = 1
+			}
+		}
+		in.Columns = append(in.Columns, cv)
+		total += cv.MaxM
+	}
+	if total > 0 {
+		in.F = rng.Intn(total + 1)
+	}
+	return in
+}
+
+// dualRandomCaps caps each net at a random fraction of what the uncapped
+// marginal-greedy assignment spends on it, so both cap-repaired warm starts
+// and caps the warm start already satisfies occur across trials.
+func dualRandomCaps(rng *rand.Rand, in *Instance) *NetCap {
+	inc := SolveMarginalGreedy(in)
+	spend := map[int]float64{}
+	for k, m := range inc {
+		cv := &in.Columns[k]
+		if m <= 0 || cv.DeltaC == nil {
+			continue
+		}
+		if cv.NetLow >= 0 {
+			spend[cv.NetLow] += cv.DeltaC[m] * cv.REffLow
+		}
+		if cv.NetHigh >= 0 {
+			spend[cv.NetHigh] += cv.DeltaC[m] * cv.REffHigh
+		}
+	}
+	nc := &NetCap{PerNet: make([]float64, 5)}
+	for net, s := range spend {
+		// 0.3..1.3 of the greedy spend: sometimes binding, sometimes slack.
+		nc.PerNet[net] = s * (0.3 + rng.Float64())
+	}
+	return nc
+}
+
 // tableEngine prepares one EXPERIMENTS table grid point the way the table
 // harness does: an engine over the dissection and the harness density
 // targets (minimum 0.15, maximum 0.7, seed 1). Config.Weighted is read when
@@ -222,7 +376,7 @@ func canonCost(in *Instance, a Assignment) float64 {
 }
 
 // linearized clones an instance with each costed column's exact curve
-// replaced by the linear curve ILP-I optimizes (LinearSlope·m), so a dual
+// replaced by the linear curve ILP-I optimizes (LinearSlope·m), so an ILP-II
 // solve and a decoded ILP-I optimum compare bitwise on ILP-I's own program
 // rather than within its linearization error.
 func linearized(in *Instance) *Instance {
@@ -263,8 +417,9 @@ func requireSameOptimum(t *testing.T, label string, in *Instance, got, want *ilp
 //   - the seeded branch-and-bound (ILP-I warm-started from its greedy
 //     incumbent, ILP-II seeded with marginal greedy) reaches the same status
 //     and objective as the row-based reference solver on both programs;
-//   - DualAscent's cost equals the decoded ILP-II optimum bitwise;
-//   - DualAscent on the linearized tile equals the ILP-I optimum bitwise.
+//   - SolveILPII's (hull-certified) cost equals the decoded branch-and-bound
+//     ILP-II optimum bitwise;
+//   - SolveILPII on the linearized tile equals the ILP-I optimum bitwise.
 func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 	_, instances := t1Tiles(t)
 	opts := ilp.Options{MaxNodes: 20000}
@@ -301,15 +456,15 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 			continue // a node-limited solve pins no optimum
 		}
 
-		aDual, _, _, err := SolveDualAscent(context.Background(), in, &opts, nil, 0)
+		aII, _, err := SolveILPII(in, &opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := canonCost(in, aDual), canonCost(in, g.Decode(solII.X)); got != want {
-			t.Fatalf("tile (%d,%d): DualAscent cost %g != ILP-II optimum %g", in.I, in.J, got, want)
+		if got, want := canonCost(in, aII), canonCost(in, g.Decode(solII.X)); got != want {
+			t.Fatalf("tile (%d,%d): certified ILP-II cost %g != B&B ILP-II optimum %g", in.I, in.J, got, want)
 		}
 		lin := linearized(in)
-		aLin, _, _, err := SolveDualAscent(context.Background(), lin, &opts, nil, 0)
+		aLin, _, err := SolveILPII(lin, &opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +473,7 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 			aI[k] = int(solI.X[k] + 0.5)
 		}
 		if got, want := canonCost(lin, aLin), canonCost(lin, aI); got != want {
-			t.Fatalf("tile (%d,%d): linearized DualAscent cost %g != ILP-I optimum %g", in.I, in.J, got, want)
+			t.Fatalf("tile (%d,%d): linearized ILP-II cost %g != ILP-I optimum %g", in.I, in.J, got, want)
 		}
 		compared++
 	}

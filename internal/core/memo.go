@@ -38,12 +38,11 @@ type memoKey [sha256.Size]byte
 // by-products a fresh solve would report, replayed on every hit so memo-on
 // and memo-off runs stay bit-identical.
 type memoEntry struct {
-	a            []int
-	nodes        int
-	pivots       int
-	incRepaired  bool
-	incDropped   bool
-	dualFallback bool
+	a           []int
+	nodes       int
+	pivots      int
+	incRepaired bool
+	incDropped  bool
 }
 
 const memoShards = 16
@@ -100,12 +99,11 @@ func (c *SolveMemo) lookup(key memoKey) *memoEntry {
 // race harmlessly: both entries hold identical results.
 func (c *SolveMemo) store(key memoKey, a []int, st solveStats) {
 	e := &memoEntry{
-		a:            append([]int(nil), a...),
-		nodes:        st.nodes,
-		pivots:       st.pivots,
-		incRepaired:  st.incRepaired,
-		incDropped:   st.incDropped,
-		dualFallback: st.dualFallback,
+		a:           append([]int(nil), a...),
+		nodes:       st.nodes,
+		pivots:      st.pivots,
+		incRepaired: st.incRepaired,
+		incDropped:  st.incDropped,
 	}
 	s := c.shard(key)
 	s.mu.Lock()
@@ -169,11 +167,10 @@ func memoizable(method Method, opts *ilp.Options) bool {
 // and activity scaling all reach the solver only through the curves and
 // scaled resistances, which the fingerprint serializes directly.
 type fingerprintConfig struct {
-	method     Method
-	netCap     float64 // Config.NetCap (GreedyCapped, ILP-II and DualAscent cap rows)
-	maxNodes   int     // ILPOpts.MaxNodes (limits change Feasible-vs-Optimal outcomes)
-	intTol     float64 // ILPOpts.IntTol (changes incumbent acceptance)
-	dualGapTol float64 // resolved Config.DualGapTol (changes DualAscent's fallback set)
+	method   Method
+	netCap   float64 // Config.NetCap (GreedyCapped and ILP-II cap rows)
+	maxNodes int     // ILPOpts.MaxNodes (limits change Feasible-vs-Optimal outcomes)
+	intTol   float64 // ILPOpts.IntTol (changes incumbent acceptance)
 }
 
 func (e *Engine) fingerprintConfig(method Method) fingerprintConfig {
@@ -182,16 +179,13 @@ func (e *Engine) fingerprintConfig(method Method) fingerprintConfig {
 		netCap:   e.Cfg.NetCap,
 		maxNodes: e.Cfg.ILPOpts.MaxNodes,
 		intTol:   e.Cfg.ILPOpts.IntTol,
-		// The resolved threshold, so DualGapTol 0 and an explicit 1e-9 (which
-		// behave identically) hash identically too.
-		dualGapTol: e.dualGapTol(),
 	}
 }
 
 // fpVersion guards against stale entries if the serialization ever changes
 // within a process's lifetime (it cannot today; the byte is cheap insurance).
-// v2: dualGapTol joined the config prefix.
-const fpVersion = 2
+// v2: a gap-tolerance field joined the config prefix; v3: it left again.
+const fpVersion = 3
 
 func fpPutU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
@@ -224,7 +218,6 @@ func fingerprintInstance(buf []byte, netScratch []int, in *Instance, fc fingerpr
 	buf = fpPutF64(buf, fc.netCap)
 	buf = fpPutInt(buf, fc.maxNodes)
 	buf = fpPutF64(buf, fc.intTol)
-	buf = fpPutF64(buf, fc.dualGapTol)
 	buf = fpPutInt(buf, in.F)
 	buf = fpPutInt(buf, len(in.Columns))
 

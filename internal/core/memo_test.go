@@ -157,6 +157,66 @@ func TestMemoSecondRunAllHits(t *testing.T) {
 	}
 }
 
+// TestMemoKeyedOnNetCap runs ILP-II over three copies of the cap-violating
+// repair tile on one memo: capped, every tile's warm start needs a cap
+// repair, the copies dedup to one miss, and a warm run replays the repair
+// counter. NetCap is part of the fingerprint, so an uncapped engine on the
+// same memo must miss rather than replay the capped entry, and reports no
+// repairs.
+func TestMemoKeyedOnNetCap(t *testing.T) {
+	l, d := smallLayout(t)
+	memo := NewSolveMemo()
+	newEng := func(netCap float64) *Engine {
+		t.Helper()
+		eng, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42, NetCap: netCap, Memo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	const tiles = 3
+	var instances []*Instance
+	for i := 0; i < tiles; i++ {
+		in := repairInstance()
+		in.I = i
+		for k := range in.Columns {
+			in.Columns[k].Col = &scanline.Column{Col: k}
+			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
+		}
+		instances = append(instances, in)
+	}
+	capped := newEng(2e-15)
+	cold, err := capped.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.IncumbentsRepaired != tiles {
+		t.Errorf("capped cold run: %d incumbents repaired, want %d", cold.IncumbentsRepaired, tiles)
+	}
+	if cold.MemoMisses != 1 || cold.MemoHits != tiles-1 {
+		t.Errorf("capped cold run: %d misses %d hits, want 1 miss (pattern copies dedup)",
+			cold.MemoMisses, cold.MemoHits)
+	}
+	warm, err := capped.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.MemoHits != tiles || warm.IncumbentsRepaired != tiles {
+		t.Errorf("capped warm run: %d hits, %d incumbents repaired over %d tiles",
+			warm.MemoHits, warm.IncumbentsRepaired, tiles)
+	}
+	requireResultsIdentical(t, "capped memo-warm", warm, cold)
+
+	free, err := newEng(0).Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.MemoMisses != 1 || free.IncumbentsRepaired != 0 {
+		t.Errorf("uncapped run on the capped memo: %d misses, %d incumbents repaired; want 1 miss, 0 repaired",
+			free.MemoMisses, free.IncumbentsRepaired)
+	}
+}
+
 func TestMemoOnOffBitIdentical(t *testing.T) {
 	l, d := smallLayout(t)
 	newEng := func(cfg Config) *Engine {
@@ -172,7 +232,7 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 	_, budget := buildEngine(t, false, scanline.DefIII)
 	insOff := mustInstances(t, off, budget)
 	insOn := mustInstances(t, on, budget)
-	for _, m := range []Method{Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped, DualAscent} {
+	for _, m := range []Method{Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped} {
 		rOff, err := off.Run(m, insOff)
 		if err != nil {
 			t.Fatal(err)

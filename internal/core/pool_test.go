@@ -12,7 +12,7 @@ import (
 	"pilfill/internal/scanline"
 )
 
-var allMethods = []Method{Normal, Greedy, GreedyCapped, MarginalGreedy, DP, ILPI, ILPII, DualAscent}
+var allMethods = []Method{Normal, Greedy, GreedyCapped, MarginalGreedy, DP, ILPI, ILPII}
 
 // requireResultsIdentical compares everything a Result reports that is
 // supposed to be deterministic: objective values bit-for-bit, counts, search
@@ -30,9 +30,6 @@ func requireResultsIdentical(t *testing.T, label string, got, want *Result) {
 	if got.ILPNodes != want.ILPNodes || got.LPPivots != want.LPPivots {
 		t.Errorf("%s: search effort differs: %d nodes/%d pivots vs %d/%d",
 			label, got.ILPNodes, got.LPPivots, want.ILPNodes, want.LPPivots)
-	}
-	if got.DualFallbacks != want.DualFallbacks {
-		t.Errorf("%s: dual fallbacks differ: %d vs %d", label, got.DualFallbacks, want.DualFallbacks)
 	}
 	for n := range want.PerNet {
 		if got.PerNet[n] != want.PerNet[n] {
@@ -52,7 +49,7 @@ func requireResultsIdentical(t *testing.T, label string, got, want *Result) {
 // freshScratchReference solves every instance with the exported per-method
 // wrapper, each on its own fresh SolveScratch, and reduces in instance order
 // exactly as RunContext documents: Evaluate sums, per-net attribution,
-// placement, search effort and dual fallbacks. It is the one-off
+// placement and search effort. It is the one-off
 // counterpart of a warm engine run.
 func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Instance) *Result {
 	t.Helper()
@@ -83,12 +80,6 @@ func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Ins
 			a, sol, err = SolveILPI(in, &eng.Cfg.ILPOpts)
 		case ILPII:
 			a, sol, err = SolveILPII(in, &eng.Cfg.ILPOpts, nc)
-		case DualAscent:
-			var fallback bool
-			a, sol, fallback, err = SolveDualAscent(context.Background(), in, &eng.Cfg.ILPOpts, nc, 0)
-			if fallback {
-				ref.DualFallbacks++
-			}
 		}
 		if err != nil {
 			t.Fatalf("%v tile (%d,%d): %v", m, in.I, in.J, err)

@@ -54,13 +54,13 @@ type SolveScratch struct {
 	choiceArena []int32
 	choiceRows  [][]int32
 
-	// Hull-sweep buffers (see dual.go; ILP-II and DualAscent): the
-	// per-unit convexified-marginal arena, the hull-vertex flag arena,
-	// per-column offsets into both, and the monotone-chain hull stack.
-	dualMarg []float64
-	dualVert []bool
-	dualOff  []int
-	dualHull []int32
+	// Hull-sweep buffers (see hull.go; ILP-II): the per-unit
+	// convexified-marginal arena, the hull-vertex flag arena, per-column
+	// offsets into both, and the monotone-chain hull stack.
+	hullMarg  []float64
+	hullVert  []bool
+	hullOff   []int
+	hullStack []int32
 
 	// Solve-memo fingerprint buffers (serialization bytes and the canonical
 	// net-ranking scratch), reused across the worker's tiles.

@@ -43,14 +43,9 @@ type Cell struct {
 	// the ILP methods (zero for the others).
 	Nodes  int
 	Pivots int
-	// Fallbacks counts DualAscent tiles re-solved by branch-and-bound
-	// (certificate failures); zero for every other method.
-	Fallbacks int
 }
 
-// Row is one table row: testcase/W/r and the five methods (the paper's four
-// plus this implementation's DualAscent, which must match ILP-II's τ exactly
-// — it computes the same optimum without the per-tile branch-and-bound).
+// Row is one table row: testcase/W/r and the paper's four methods.
 type Row struct {
 	Case       string
 	W, R       int
@@ -60,7 +55,6 @@ type Row struct {
 	ILPI       Cell
 	ILPII      Cell
 	Greedy     Cell
-	Dual       Cell
 	PrepTime   time.Duration
 	DensityMin float64 // post-fill min window density (identical across methods)
 	DensityMax float64
@@ -157,7 +151,7 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 			tau = res.Weighted
 		}
 		return Cell{Tau: tau, CPU: res.CPU, Wall: res.Wall,
-			Nodes: res.ILPNodes, Pivots: res.LPPivots, Fallbacks: res.DualFallbacks}, res, nil
+			Nodes: res.ILPNodes, Pivots: res.LPPivots}, res, nil
 	}
 	var res *core.Result
 	if row.Normal, res, err = run(core.Normal); err != nil {
@@ -172,9 +166,6 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 	}
 	row.DensityMin, row.DensityMax = grid.StatsWithAreas(res.Fill.TileFillAreas(dis))
 	if row.Greedy, _, err = run(core.Greedy); err != nil {
-		return nil, err
-	}
-	if row.Dual, _, err = run(core.DualAscent); err != nil {
 		return nil, err
 	}
 	return row, nil
@@ -198,32 +189,27 @@ func RunTable(weighted bool) ([]*Row, error) {
 // designs, whose τ was nanoseconds) and CPU in milliseconds.
 func PrintTable(w io.Writer, title string, rows []*Row) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-10s %8s | %10s | %10s %8s | %10s %8s | %10s %8s | %10s %8s\n",
-		"T/W/r", "fill", "Normal τ", "ILP-I τ", "CPU", "ILP-II τ", "CPU", "Greedy τ", "CPU", "Dual τ", "CPU")
-	fmt.Fprintf(w, "%s\n", dashes(130))
+	fmt.Fprintf(w, "%-10s %8s | %10s | %10s %8s | %10s %8s | %10s %8s\n",
+		"T/W/r", "fill", "Normal τ", "ILP-I τ", "CPU", "ILP-II τ", "CPU", "Greedy τ", "CPU")
+	fmt.Fprintf(w, "%s\n", dashes(108))
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8d | %10.4f | %10.4f %8.0f | %10.4f %8.0f | %10.4f %8.0f | %10.4f %8.0f\n",
+		fmt.Fprintf(w, "%-10s %8d | %10.4f | %10.4f %8.0f | %10.4f %8.0f | %10.4f %8.0f\n",
 			fmt.Sprintf("%s/%d/%d", r.Case, r.W, r.R), r.Placed,
 			r.Normal.Tau*1e12,
 			r.ILPI.Tau*1e12, ms(r.ILPI.CPU),
 			r.ILPII.Tau*1e12, ms(r.ILPII.CPU),
-			r.Greedy.Tau*1e12, ms(r.Greedy.CPU),
-			r.Dual.Tau*1e12, ms(r.Dual.CPU))
+			r.Greedy.Tau*1e12, ms(r.Greedy.CPU))
 	}
-	var n1, p1, n2, p2, nd, pd, fb int
+	var n1, p1, n2, p2 int
 	for _, r := range rows {
 		n1 += r.ILPI.Nodes
 		p1 += r.ILPI.Pivots
 		n2 += r.ILPII.Nodes
 		p2 += r.ILPII.Pivots
-		nd += r.Dual.Nodes
-		pd += r.Dual.Pivots
-		fb += r.Dual.Fallbacks
 	}
 	fmt.Fprintf(w, "(τ in ps, CPU in ms solver-only; all methods place identical fill per tile)\n")
-	fmt.Fprintf(w, "solver work: ILP-I %d nodes / %d pivots, ILP-II %d nodes / %d pivots, "+
-		"DualAscent %d nodes / %d pivots / %d fallbacks\n",
-		n1, p1, n2, p2, nd, pd, fb)
+	fmt.Fprintf(w, "solver work: ILP-I %d nodes / %d pivots, ILP-II %d nodes / %d pivots\n",
+		n1, p1, n2, p2)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -26,7 +26,7 @@ type SubmitRequest struct {
 	// LEF optionally supplies layer definitions for DEF (standard LEF).
 	LEF string `json:"lef,omitempty"`
 	// Method is the placement method, CLI spelling: Normal, Greedy, ILP-I,
-	// ILP-II, DP, MarginalGreedy, GreedyCapped, DualAscent.
+	// ILP-II, DP, MarginalGreedy, GreedyCapped.
 	Method string `json:"method"`
 	// Options mirror the pilfill CLI flags.
 	Options SubmitOptions `json:"options"`
@@ -56,9 +56,6 @@ type SubmitOptions struct {
 	Grounded     bool    `json:"grounded,omitempty"`
 	ILPNodeLimit int     `json:"ilp_node_limit,omitempty"`
 	NoSolveMemo  bool    `json:"no_solve_memo,omitempty"`
-	// DualGapTol is DualAscent's relative duality-gap acceptance threshold;
-	// 0 selects the default (1e-9).
-	DualGapTol float64 `json:"dual_gap_tol,omitempty"`
 	// CollectTrace records the run's obs spans and ships them in the report
 	// payload (ReportPayload.Trace), letting a coordinator merge worker spans
 	// into one cluster-wide Chrome trace.
@@ -97,7 +94,6 @@ func (o SubmitOptions) SessionOptions() (pilfill.Options, error) {
 		Grounded:     o.Grounded,
 		ILPNodeLimit: o.ILPNodeLimit,
 		NoSolveMemo:  o.NoSolveMemo,
-		DualGapTol:   o.DualGapTol,
 	}
 	if opts.Window <= 0 || opts.R <= 0 {
 		return pilfill.Options{}, fmt.Errorf("window %d and r %d must be positive", o.Window, o.R)
@@ -155,19 +151,16 @@ type ErrorResponse struct {
 // picoseconds, times in milliseconds, the Result.Phases breakdown, density
 // control before/after, and the capacitance-table cache counters.
 type ReportPayload struct {
-	Method    string `json:"method"`
-	Requested int    `json:"requested"`
-	Placed    int    `json:"placed"`
-	Tiles     int    `json:"tiles"`
-	ILPNodes  int    `json:"ilp_nodes,omitempty"`
-	LPPivots  int    `json:"lp_pivots,omitempty"`
-	// DualFallbacks counts DualAscent tiles whose optimality certificate did
-	// not close and that fell back to branch-and-bound.
-	DualFallbacks int     `json:"dual_fallbacks,omitempty"`
-	UnweightedPS  float64 `json:"unweighted_ps"`
-	WeightedPS    float64 `json:"weighted_ps"`
-	SolveCPUMS    float64 `json:"solve_cpu_ms"`
-	WallMS        float64 `json:"wall_ms"`
+	Method       string  `json:"method"`
+	Requested    int     `json:"requested"`
+	Placed       int     `json:"placed"`
+	Tiles        int     `json:"tiles"`
+	ILPNodes     int     `json:"ilp_nodes,omitempty"`
+	LPPivots     int     `json:"lp_pivots,omitempty"`
+	UnweightedPS float64 `json:"unweighted_ps"`
+	WeightedPS   float64 `json:"weighted_ps"`
+	SolveCPUMS   float64 `json:"solve_cpu_ms"`
+	WallMS       float64 `json:"wall_ms"`
 	// Workers is the effective tile-solver worker count the run used (after
 	// the daemon's CPU-share clamping; see EffectiveWorkers).
 	Workers  int            `json:"workers,omitempty"`
@@ -249,18 +242,17 @@ func BuildReport(s *pilfill.Session, rep *pilfill.Report) *ReportPayload {
 func resultReport(res *core.Result, workers int) *ReportPayload {
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	return &ReportPayload{
-		Method:        res.Method.String(),
-		Requested:     res.Requested,
-		Placed:        res.Placed,
-		Tiles:         res.Tiles,
-		ILPNodes:      res.ILPNodes,
-		LPPivots:      res.LPPivots,
-		DualFallbacks: res.DualFallbacks,
-		UnweightedPS:  res.Unweighted * 1e12,
-		WeightedPS:    res.Weighted * 1e12,
-		SolveCPUMS:    ms(res.CPU),
-		WallMS:        ms(res.Wall),
-		Workers:       workers,
+		Method:       res.Method.String(),
+		Requested:    res.Requested,
+		Placed:       res.Placed,
+		Tiles:        res.Tiles,
+		ILPNodes:     res.ILPNodes,
+		LPPivots:     res.LPPivots,
+		UnweightedPS: res.Unweighted * 1e12,
+		WeightedPS:   res.Weighted * 1e12,
+		SolveCPUMS:   ms(res.CPU),
+		WallMS:       ms(res.Wall),
+		Workers:      workers,
 		PhasesMS: PhasesPayload{
 			Preprocess: ms(res.Phases.Preprocess),
 			Solve:      ms(res.Phases.Solve),
@@ -289,8 +281,6 @@ func ParseMethod(s string) (core.Method, bool) {
 		return core.MarginalGreedy, true
 	case "greedycapped", "capped":
 		return core.GreedyCapped, true
-	case "dualascent", "dual-ascent", "dual":
-		return core.DualAscent, true
 	}
 	return 0, false
 }

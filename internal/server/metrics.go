@@ -26,7 +26,6 @@ type metrics struct {
 	finished      *obs.CounterVec   // terminal jobs by final state
 	ilpNodes      *obs.Counter      // branch-and-bound nodes across finished jobs
 	lpPivots      *obs.Counter      // simplex pivots across finished jobs
-	dualFallbacks *obs.Counter      // DualAscent tiles re-solved by B&B
 	solveCPU      *obs.Histogram    // solver-only CPU seconds per finished job
 	solveWall     *obs.Histogram    // end-to-end wall seconds per finished job
 	methodCPU     *obs.HistogramVec // solver CPU seconds by placement method
@@ -104,9 +103,6 @@ func newMetrics() *metrics {
 		"Branch-and-bound nodes across finished jobs.")
 	m.lpPivots = reg.Counter("pilfilld_lp_pivots_total",
 		"Simplex pivots across finished jobs.")
-	m.dualFallbacks = reg.Counter("pilfilld_dual_fallback_total",
-		"DualAscent tiles whose optimality certificate did not close and that "+
-			"were re-solved by branch-and-bound, across finished jobs.")
 	m.solveCPU = reg.Histogram("pilfilld_solve_cpu_seconds",
 		"Solver-only CPU seconds per finished job.", nil)
 	m.solveWall = reg.Histogram("pilfilld_solve_wall_seconds",
@@ -193,7 +189,6 @@ func (m *metrics) jobFinished(snap jobqueue.Snapshot) {
 	}
 	m.ilpNodes.Add(float64(rep.ILPNodes))
 	m.lpPivots.Add(float64(rep.LPPivots))
-	m.dualFallbacks.Add(float64(rep.DualFallbacks))
 	m.solveCPU.Observe(rep.SolveCPUMS / 1e3)
 	m.solveWall.Observe(rep.WallMS / 1e3)
 	m.methodCPU.Observe(rep.Method, rep.SolveCPUMS/1e3)

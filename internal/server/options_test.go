@@ -5,10 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"pilfill/internal/core"
-	"pilfill/internal/jobqueue"
-	"pilfill/internal/layout"
 )
 
 // TestSubmitOptionsReachTheEngine guards the wire → engine boundary: every
@@ -62,23 +58,6 @@ func TestSubmitOptionsReachTheEngine(t *testing.T) {
 	}
 }
 
-// TestRegionReportCarriesDualFallbacks: a region job's report carries the
-// run's DualAscent fallbacks, and the worker's fallback counter counts them
-// like a whole-layout job's.
-func TestRegionReportCarriesDualFallbacks(t *testing.T) {
-	l := &layout.Layout{}
-	res := &core.Result{Method: core.DualAscent, DualFallbacks: 3, Fill: &layout.FillSet{}}
-	rep := buildRegionReport(&RegionSpec{ID: "r1x1-0-0"}, l, res, 1)
-	if rep.DualFallbacks != 3 {
-		t.Fatalf("region report dual_fallbacks = %d, want 3", rep.DualFallbacks)
-	}
-	m := newMetrics()
-	m.jobFinished(jobqueue.Snapshot{State: jobqueue.Done, Result: rep})
-	if got := m.dualFallbacks.Value(); got != 3 {
-		t.Fatalf("pilfilld_dual_fallback_total = %g, want 3", got)
-	}
-}
-
 // FuzzSubmitRequest feeds arbitrary bodies through the submit path —
 // decodeSubmit as handleSubmit calls it, then the production task factory —
 // without running any task. Nothing may panic, and every request the
@@ -92,6 +71,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"testcase": "T1", "method": "Greedy", "options": {"slackdef": 0}}`,
 		`{"testcase": "T1", "method": "Greedy", "options": {"slackdef": 4}}`,
 		`{"testcase": "T2", "method": "dp", "options": {"window": -32, "r": -4}}`,
+		`{"testcase": "T1", "method": "ILP-II", "options": {"dual_gap_tol": 1e-9}}`,
 		`{}`,
 	} {
 		f.Add([]byte(seed))

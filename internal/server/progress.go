@@ -18,13 +18,12 @@ import (
 // (0 while unknown — before the prepare phase finishes); TilesDone only
 // ever grows.
 type ProgressPayload struct {
-	TilesDone     int    `json:"tiles_done"`
-	TilesTotal    int    `json:"tiles_total,omitempty"`
-	Phase         string `json:"phase,omitempty"`
-	MemoHits      int    `json:"memo_hits,omitempty"`
-	DualFallbacks int    `json:"dual_fallbacks,omitempty"`
-	ILPNodes      int64  `json:"ilp_nodes,omitempty"`
-	LPPivots      int64  `json:"lp_pivots,omitempty"`
+	TilesDone  int    `json:"tiles_done"`
+	TilesTotal int    `json:"tiles_total,omitempty"`
+	Phase      string `json:"phase,omitempty"`
+	MemoHits   int    `json:"memo_hits,omitempty"`
+	ILPNodes   int64  `json:"ilp_nodes,omitempty"`
+	LPPivots   int64  `json:"lp_pivots,omitempty"`
 }
 
 // progressTracker accumulates tile-completion events and publishes immutable
@@ -70,9 +69,6 @@ func (p *progressTracker) onTile(ev core.TileEvent) {
 	p.cur.TilesDone++
 	if ev.MemoHit {
 		p.cur.MemoHits++
-	}
-	if ev.DualFallback {
-		p.cur.DualFallbacks++
 	}
 	p.cur.ILPNodes += int64(ev.Nodes)
 	p.cur.LPPivots += int64(ev.LPPivots)

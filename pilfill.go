@@ -9,9 +9,8 @@
 // Elmore-delay impact on the active wiring is minimized. The paper's three
 // methods (Greedy, ILP-I, ILP-II) plus the density-only Normal baseline and
 // this implementation's exact/ablation solvers (DP, MarginalGreedy,
-// GreedyCapped, DualAscent) are all available and place identical fill
-// *amounts* per tile — density control is the same, only delay impact
-// differs.
+// GreedyCapped) are all available and place identical fill *amounts* per
+// tile — density control is the same, only delay impact differs.
 //
 // Basic use:
 //
@@ -55,7 +54,6 @@ const (
 	DP             = core.DP
 	MarginalGreedy = core.MarginalGreedy
 	GreedyCapped   = core.GreedyCapped
-	DualAscent     = core.DualAscent
 )
 
 // Method selects a placement algorithm (see the constants above).
@@ -98,11 +96,8 @@ type Options struct {
 	// ILPNodeLimit caps branch-and-bound nodes per tile (0 = default).
 	ILPNodeLimit int
 	// NetCap bounds each net's added delay per tile, in seconds, for
-	// GreedyCapped, ILP-II and DualAscent (0 = off).
+	// GreedyCapped and ILP-II (0 = off).
 	NetCap float64
-	// DualGapTol is DualAscent's relative duality-gap acceptance threshold;
-	// 0 selects the default (1e-9). See core.Config.DualGapTol.
-	DualGapTol float64
 	// Activity holds optional per-net switching activities in [0, 1] for
 	// crosstalk-aware costing (switch-factor model); nil = quiet neighbors.
 	Activity []float64
@@ -167,7 +162,6 @@ func (o Options) EngineConfig() core.Config {
 		Weighted:      o.Weighted,
 		Seed:          o.Seed,
 		NetCap:        o.NetCap,
-		DualGapTol:    o.DualGapTol,
 		Activity:      o.Activity,
 		Workers:       o.Workers,
 		Grounded:      o.Grounded,
