@@ -57,7 +57,7 @@ func main() {
 		weighted = flag.Bool("weighted", false, "optimize the sink-weighted objective (Table 2)")
 		defName  = flag.Int("slackdef", 3, "slack column definition: 1, 2, or 3")
 		seed     = flag.Int64("seed", 1, "random seed for budgeting and the Normal baseline")
-		netCap   = flag.Float64("netcap", 0, "per-net added delay cap in ps (0 = off)")
+		netCap   = flag.Float64("netcap", 0, "per-net added delay cap in ps (0 = off); ILP-II places what fits on tiles the cap makes infeasible")
 		odef     = flag.String("odef", "", "write the filled layout as DEF to this path")
 		ogds     = flag.String("ogds", "", "write the filled layout as GDSII to this path")
 		osvg     = flag.String("osvg", "", "write the filled layout as SVG to this path")

@@ -109,6 +109,26 @@ func TestRunBudgetedContextCancelled(t *testing.T) {
 	}
 }
 
+// TestCappedILPIIUnderPlaces: on T2 (W 32, r 8) a 2e-15 s net cap leaves
+// tiles where no assignment of the full fill amount fits. A cancelled run
+// under that cap still fails with context.Canceled; a live run places what
+// fits on those tiles instead of failing.
+func TestCappedILPIIUnderPlaces(t *testing.T) {
+	s := t2Session(t, Options{Seed: 1, R: 8, NetCap: 2e-15})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RunContext(ctx, ILPII); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled capped run err = %v, want context.Canceled", err)
+	}
+	rep, err := s.Run(ILPII)
+	if err != nil {
+		t.Fatalf("capped ILP-II: %v", err)
+	}
+	if rep.Result.Placed != 81663 || rep.Result.Requested != 82456 {
+		t.Errorf("placed %d of %d, want 81663 of 82456", rep.Result.Placed, rep.Result.Requested)
+	}
+}
+
 // TestRunContextWorkersCancelled covers the concurrent solve path: the
 // fan-out must observe the cancel and the reduction must surface it.
 func TestRunContextWorkersCancelled(t *testing.T) {

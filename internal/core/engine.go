@@ -66,7 +66,8 @@ type Config struct {
 	Seed     int64        // randomness for the Normal baseline
 	// NetCap bounds each net's added delay per tile for the capped methods,
 	// in seconds (interconnect deltas are femtoseconds, far below what
-	// time.Duration can represent). 0 disables the bound.
+	// time.Duration can represent). 0 disables the bound. GreedyCapped and
+	// ILP-II may then place fewer features than requested (see RunContext).
 	NetCap float64
 	// Activity optionally holds per-net switching activities in [0, 1] for
 	// crosstalk-aware costing (after Kahng/Muddu/Sarto's switch factors):
@@ -546,7 +547,11 @@ func (e *Engine) normalSeed(in *Instance) int64 {
 // Normal baseline derives its randomness from (Seed, I, J) so tiles can be
 // solved in any order — or concurrently — with identical results. A
 // cancelled context surfaces as the context's error; for the ILP methods
-// the branch-and-bound search itself is interrupted mid-tile.
+// the branch-and-bound search itself is interrupted mid-tile. Under an
+// active cap, an ILP-II tile with no Σm = F assignment within the caps (or
+// whose search ends at the node limit without one) places what fits with
+// the capped greedy instead, like GreedyCapped; cancellation is checked
+// first, so it never triggers that fallback.
 func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
 	base *ilp.Options, nc *NetCap, a Assignment, lane int, span obs.SpanID) (solveStats, error) {
 	var st solveStats
@@ -565,11 +570,11 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 		sc.solveGreedy(a, in)
 		return st, nil
 	case MarginalGreedy:
-		sc.solveMarginalGreedy(a, in)
+		sc.solveMarginalGreedy(a, in, nil)
 		return st, nil
 	case GreedyCapped:
-		if e.Cfg.NetCap > 0 {
-			sc.solveGreedyCapped(a, in, e.Cfg.NetCap, nil)
+		if nc.active() {
+			sc.solveGreedyCapped(a, in, nc)
 		} else {
 			sc.solveGreedy(a, in)
 		}
@@ -589,6 +594,11 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return solveStats{}, ctxErr
+	}
+	if err != nil && method == ILPII && nc.active() {
+		clear(a)
+		sc.solveGreedyCapped(a, in, nc)
+		return st, nil
 	}
 	return st, err
 }
@@ -613,8 +623,22 @@ func (e *Engine) Run(method Method, instances []*Instance) (*Result, error) {
 // boundary (and, for the ILP methods, per branch-and-bound node), so a
 // cancelled or deadline-expired context stops the remaining solver work and
 // returns an error wrapping ctx.Err(). A partially solved run yields no
-// partial Result.
+// partial Result. Under Config.NetCap the capped methods may place fewer
+// features than requested: GreedyCapped always, ILP-II on a tile where no
+// assignment of the full fill amount fits the cap (see solveTile).
 func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Instance) (*Result, error) {
+	var nc *NetCap
+	if e.Cfg.NetCap > 0 {
+		nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
+	}
+	return e.run(ctx, method, instances, nc)
+}
+
+// run is the engine's one tile loop, shared by RunContext, RunBudgeted and
+// RunMVDC: solve every instance under the per-net cap nc (nil: uncapped),
+// fanned out across Config.Workers and served from the memo where possible,
+// then evaluate, account and place in instance order.
+func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, nc *NetCap) (*Result, error) {
 	res := &Result{
 		Method: method,
 		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
@@ -658,11 +682,9 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	defer e.putScratches(scs)
 	// One cancellation closure for the whole run, not one per tile.
 	baseOpts := e.ilpOpts(ctx)
-	var nc *NetCap
-	if e.Cfg.NetCap > 0 {
-		nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-	}
-	fc := e.fingerprintConfig(method)
+	fc := e.fingerprintConfig(method, nc)
+	// Capped methods may under-place; everything else must hit F.
+	mayUnderPlace := method == GreedyCapped || (method == ILPII && nc.active())
 	solveOne := func(worker, i int) {
 		in := instances[i]
 		lane := 1 + worker
@@ -760,8 +782,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		for _, m := range o.a {
 			placed += m
 		}
-		// Capped methods may under-place; everything else must hit F.
-		if method != GreedyCapped {
+		if !mayUnderPlace {
 			if err := in.Valid(o.a); err != nil {
 				return nil, fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
 			}

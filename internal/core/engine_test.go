@@ -297,29 +297,39 @@ func TestActivityAwareCosting(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	eng, budget := buildEngine(t, false, scanline.DefIII)
+	eng.memo = nil // every run solves; none replays another
 	instances := mustInstances(t, eng, budget)
+	grid := density.NewGrid(eng.L, eng.Dis, eng.Occ, 0)
+	// Tight enough that some tiles branch and some fall back to the greedy.
+	netBudgets := eng.NetBudgets(0.01, 1e-21)
+	runs := map[string]func() (*Result, error){
+		"RunBudgeted": func() (*Result, error) { return eng.RunBudgeted(instances, netBudgets) },
+		"RunMVDC": func() (*Result, error) {
+			r, err := eng.RunMVDC(grid, 1e-15, 0.2, 0.5)
+			if err != nil {
+				return nil, err
+			}
+			return r.Result, nil
+		},
+	}
 	for _, m := range []Method{Normal, Greedy, ILPII} {
+		runs[m.String()] = func() (*Result, error) { return eng.Run(m, instances) }
+	}
+	for name, run := range runs {
 		eng.Cfg.Workers = 0
-		serial, err := eng.Run(m, instances)
+		serial, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Cfg.Workers = 4
-		parallel, err := eng.Run(m, instances)
+		parallel, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Cfg.Workers = 0
-		if serial.Unweighted != parallel.Unweighted || serial.Weighted != parallel.Weighted {
-			t.Errorf("%v: parallel delay differs: %g vs %g", m, parallel.Unweighted, serial.Unweighted)
-		}
-		if len(serial.Fill.Fills) != len(parallel.Fill.Fills) {
-			t.Fatalf("%v: fill counts differ", m)
-		}
-		for i := range serial.Fill.Fills {
-			if serial.Fill.Fills[i] != parallel.Fill.Fills[i] {
-				t.Fatalf("%v: fill %d differs: %v vs %v", m, i, parallel.Fill.Fills[i], serial.Fill.Fills[i])
-			}
+		requireResultsIdentical(t, name+"/parallel", parallel, serial)
+		if name == "RunBudgeted" && serial.Placed == serial.Requested {
+			t.Error("RunBudgeted: no tile fell back; the budgets are too loose")
 		}
 	}
 }

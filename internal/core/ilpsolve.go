@@ -377,7 +377,7 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap, inc Assignment)
 // feasibility when caps are active. dropped reports that no repair could
 // reach the fill total within the caps; a then holds no usable incumbent.
 func (sc *SolveScratch) ilpiiIncumbent(in *Instance, netCap *NetCap, a Assignment) (repaired, dropped bool) {
-	sc.solveMarginalGreedy(a, in)
+	sc.solveMarginalGreedy(a, in, nil)
 	if !netCap.active() {
 		return false, false
 	}

@@ -168,15 +168,15 @@ func memoizable(method Method, opts *ilp.Options) bool {
 // scaled resistances, which the fingerprint serializes directly.
 type fingerprintConfig struct {
 	method   Method
-	netCap   float64 // Config.NetCap (GreedyCapped and ILP-II cap rows)
+	nc       *NetCap // the run's per-net cap (GreedyCapped and ILP-II cap rows)
 	maxNodes int     // ILPOpts.MaxNodes (limits change Feasible-vs-Optimal outcomes)
 	intTol   float64 // ILPOpts.IntTol (changes incumbent acceptance)
 }
 
-func (e *Engine) fingerprintConfig(method Method) fingerprintConfig {
+func (e *Engine) fingerprintConfig(method Method, nc *NetCap) fingerprintConfig {
 	return fingerprintConfig{
 		method:   method,
-		netCap:   e.Cfg.NetCap,
+		nc:       nc,
 		maxNodes: e.Cfg.ILPOpts.MaxNodes,
 		intTol:   e.Cfg.ILPOpts.IntTol,
 	}
@@ -184,8 +184,9 @@ func (e *Engine) fingerprintConfig(method Method) fingerprintConfig {
 
 // fpVersion guards against stale entries if the serialization ever changes
 // within a process's lifetime (it cannot today; the byte is cheap insurance).
-// v2: a gap-tolerance field joined the config prefix; v3: it left again.
-const fpVersion = 3
+// v2: a gap-tolerance field joined the config prefix; v3: it left again;
+// v4: the scalar net cap became each bounding net's cap.
+const fpVersion = 4
 
 func fpPutU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
@@ -215,7 +216,6 @@ func fpPutFloats(buf []byte, vs []float64) []byte {
 func fingerprintInstance(buf []byte, netScratch []int, in *Instance, fc fingerprintConfig) (memoKey, []byte, []int) {
 	buf = buf[:0]
 	buf = append(buf, fpVersion, byte(fc.method))
-	buf = fpPutF64(buf, fc.netCap)
 	buf = fpPutInt(buf, fc.maxNodes)
 	buf = fpPutF64(buf, fc.intTol)
 	buf = fpPutInt(buf, in.F)
@@ -245,6 +245,17 @@ func fingerprintInstance(buf []byte, netScratch []int, in *Instance, fc fingerpr
 			}
 		}
 		return -1
+	}
+	// The cap each ranked net carries: a uniform cap and a per-net budget
+	// vector both reach the solvers only through budgetFor on the tile's own
+	// nets. An uncapped run writes length -1.
+	if fc.nc.active() {
+		buf = fpPutInt(buf, len(nets))
+		for _, net := range nets {
+			buf = fpPutF64(buf, fc.nc.budgetFor(net))
+		}
+	} else {
+		buf = fpPutInt(buf, -1)
 	}
 
 	for k := range in.Columns {

@@ -162,7 +162,8 @@ func TestMemoSecondRunAllHits(t *testing.T) {
 // repair, the copies dedup to one miss, and a warm run replays the repair
 // counter. NetCap is part of the fingerprint, so an uncapped engine on the
 // same memo must miss rather than replay the capped entry, and reports no
-// repairs.
+// repairs. Per-net budget vectors key on each bounding net's cap the same
+// way.
 func TestMemoKeyedOnNetCap(t *testing.T) {
 	l, d := smallLayout(t)
 	memo := NewSolveMemo()
@@ -215,6 +216,43 @@ func TestMemoKeyedOnNetCap(t *testing.T) {
 		t.Errorf("uncapped run on the capped memo: %d misses, %d incumbents repaired; want 1 miss, 0 repaired",
 			free.MemoMisses, free.IncumbentsRepaired)
 	}
+
+	// Two per-net budget vectors that differ only on net 0 (2e-15 and
+	// 1e-15 s per tile after the three-way split): each must miss once on
+	// the shared memo rather than replay the other's entry, and replay its
+	// own entry on a warm pass.
+	vecs := make([][]float64, 2)
+	for v := range vecs {
+		vecs[v] = make([]float64, len(l.Nets))
+		for n := range vecs[v] {
+			vecs[v][n] = 1
+		}
+		vecs[v][0] = tiles * float64(2-v) * 1e-15
+	}
+	budgeted := newEng(0)
+	var coldV [2]*Result
+	for pass := 0; pass < 2; pass++ {
+		for v, nb := range vecs {
+			r, err := budgeted.RunBudgeted(instances, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass == 0 {
+				coldV[v] = r
+				if r.MemoMisses != 1 || r.MemoHits != tiles-1 {
+					t.Errorf("budget vector %d cold: %d misses %d hits, want 1 miss", v, r.MemoMisses, r.MemoHits)
+				}
+				continue
+			}
+			if r.MemoHits != tiles {
+				t.Errorf("budget vector %d warm: %d hits over %d tiles", v, r.MemoHits, tiles)
+			}
+			requireResultsIdentical(t, "budget vector warm", r, coldV[v])
+		}
+	}
+	if coldV[0].PerNet[0] == coldV[1].PerNet[0] {
+		t.Fatal("the two budget vectors place identically; the test cannot tell them apart")
+	}
 }
 
 func TestMemoOnOffBitIdentical(t *testing.T) {
@@ -232,21 +270,31 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 	_, budget := buildEngine(t, false, scanline.DefIII)
 	insOff := mustInstances(t, off, budget)
 	insOn := mustInstances(t, on, budget)
+	type runFunc func(*Engine, []*Instance) (*Result, error)
+	runs := map[string]runFunc{
+		// Budgets tight enough that some tiles branch and some fall back.
+		"RunBudgeted": func(e *Engine, ins []*Instance) (*Result, error) {
+			return e.RunBudgeted(ins, e.NetBudgets(0.01, 1e-21))
+		},
+	}
 	for _, m := range []Method{Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped} {
-		rOff, err := off.Run(m, insOff)
+		runs[m.String()] = func(e *Engine, ins []*Instance) (*Result, error) { return e.Run(m, ins) }
+	}
+	for name, run := range runs {
+		rOff, err := run(off, insOff)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rOff.MemoHits != 0 || rOff.MemoMisses != 0 {
-			t.Errorf("%v: memo-off run reports memo traffic", m)
+			t.Errorf("%s: memo-off run reports memo traffic", name)
 		}
 		// Twice with the memo on: cold (stores) then warm (replays).
 		for pass := 0; pass < 2; pass++ {
-			rOn, err := on.Run(m, insOn)
+			rOn, err := run(on, insOn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireResultsIdentical(t, m.String()+"/memo-on", rOn, rOff)
+			requireResultsIdentical(t, name+"/memo-on", rOn, rOff)
 		}
 	}
 }

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"pilfill/internal/density"
-	"pilfill/internal/ilp"
-	"pilfill/internal/layout"
 )
 
 // This file implements the paper's companion formulation sketched in its
@@ -28,37 +24,17 @@ import (
 // the column receiving the (i+1)-th feature and Cost[i] the accumulated
 // optimization cost after placing it.
 type FillFrontier struct {
-	Instance *Instance
-	Picks    []int
-	Cost     []float64
+	Picks []int
+	Cost  []float64
 }
 
 // Frontier computes the optimal fill frontier of an instance by recording
 // the marginal-greedy pick sequence up to the tile's full capacity.
 func Frontier(in *Instance) *FillFrontier {
-	f := &FillFrontier{Instance: in}
-	h := make(marginalHeap, 0, len(in.Columns))
-	for k := range in.Columns {
-		if in.Columns[k].MaxM > 0 {
-			h = append(h, marginalItem{k: k, next: 1, delta: in.Columns[k].costAt(1)})
-		}
-	}
-	heap.Init(&h)
-	total := 0.0
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(marginalItem)
-		total += it.delta
-		f.Picks = append(f.Picks, it.k)
-		f.Cost = append(f.Cost, total)
-		cv := &in.Columns[it.k]
-		if it.next < cv.MaxM {
-			heap.Push(&h, marginalItem{
-				k:     it.k,
-				next:  it.next + 1,
-				delta: cv.costAt(it.next+1) - cv.costAt(it.next),
-			})
-		}
-	}
+	f := &FillFrontier{}
+	all := *in
+	all.F = in.TotalCapacity()
+	NewSolveScratch().solveMarginalGreedy(make(Assignment, len(in.Columns)), &all, f)
 	return f
 }
 
@@ -69,18 +45,6 @@ func (f *FillFrontier) MaxFill(budget float64) int {
 	// search the crossing point.
 	n := sort.Search(len(f.Cost), func(i int) bool { return f.Cost[i] > budget })
 	return n
-}
-
-// AssignmentFor returns the optimal assignment placing the first n picks.
-func (f *FillFrontier) AssignmentFor(n int) Assignment {
-	a := make(Assignment, len(f.Instance.Columns))
-	if n > len(f.Picks) {
-		n = len(f.Picks)
-	}
-	for i := 0; i < n; i++ {
-		a[f.Picks[i]]++
-	}
-	return a
 }
 
 // MVDCResult reports a delay-constrained uniformity maximization.
@@ -102,7 +66,7 @@ func (e *Engine) RunMVDC(grid *density.Grid, tileDelayBudget, targetMin, maxDens
 }
 
 // RunMVDCContext is RunMVDC with cancellation: the context is checked at
-// every tile boundary of both the frontier-construction and materialization
+// every tile boundary of both the frontier-construction and placement
 // passes, so a cancelled or deadline-expired context stops the work and
 // returns an error wrapping ctx.Err().
 func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDelayBudget, targetMin, maxDensity float64) (*MVDCResult, error) {
@@ -112,29 +76,26 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 	if targetMin <= 0 {
 		return nil, fmt.Errorf("core: MVDC target %g", targetMin)
 	}
-	start := time.Now()
 
-	// Per-tile frontiers and delay-capped capacities.
-	frontiers := make(map[[2]int]*FillFrontier)
+	// Per-tile frontiers at full capacity and the fill each affords.
+	capacity := make(density.Budget, e.Dis.NX)
 	capped := make([][]int, e.Dis.NX)
-	for i := 0; i < e.Dis.NX; i++ {
+	for i := range capacity {
+		capacity[i] = make([]int, e.Dis.NY)
 		capped[i] = make([]int, e.Dis.NY)
-		for j := 0; j < e.Dis.NY; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
-			}
-			tc := &e.Tiles[i][j]
-			if len(tc.Cols) == 0 {
-				continue
-			}
-			in, err := e.buildInstance(i, j, tc.TotalCapacity())
-			if err != nil {
-				return nil, err
-			}
-			fr := Frontier(in)
-			frontiers[[2]int{i, j}] = fr
-			capped[i][j] = fr.MaxFill(tileDelayBudget)
+		for j := range capacity[i] {
+			capacity[i][j] = e.Tiles[i][j].TotalCapacity()
 		}
+	}
+	full, err := e.Instances(capacity)
+	if err != nil {
+		return nil, err
+	}
+	for _, in := range full {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
+		}
+		capped[in.I][in.J] = Frontier(in).MaxFill(tileDelayBudget)
 	}
 
 	// Budget for uniformity under the capped slack.
@@ -153,52 +114,20 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 		return nil, fmt.Errorf("core: MVDC budgeting: %w", err)
 	}
 
-	// Materialize each tile's frontier prefix.
-	res := &Result{
-		Method: MarginalGreedy,
-		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
-		PerNet: make([]float64, len(e.L.Nets)),
-	}
-	var placeRows []int
-	for i := 0; i < e.Dis.NX; i++ {
-		for j := 0; j < e.Dis.NY; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
-			}
-			n := budget[i][j]
-			if n <= 0 {
-				continue
-			}
-			fr := frontiers[[2]int{i, j}]
-			if fr == nil {
-				continue
-			}
-			a := fr.AssignmentFor(n)
-			u, w, err := fr.Instance.Evaluate(a)
-			if err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
-			res.Unweighted += u
-			res.Weighted += w
-			placed := 0
-			for _, m := range a {
-				placed += m
-			}
-			res.Requested += n
-			res.Placed += placed
-			res.Tiles++
-			if err := e.accumulatePerNet(res.PerNet, fr.Instance, a); err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
-			if err := e.place(res.Fill, fr.Instance, a, &placeRows); err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
+	// Place each tile's frontier prefix: MarginalGreedy at F = n is exactly
+	// the frontier's first n picks.
+	var prefix []*Instance
+	for _, in := range full {
+		if n := budget[in.I][in.J]; n > 0 {
+			p := *in
+			p.F = n
+			prefix = append(prefix, &p)
 		}
 	}
-	res.Wall = time.Since(start)
-	res.CPU = res.Wall // MVDC runs serially; frontier work is the solve
-	res.Phases.Solve = res.CPU
-	res.Phases.Preprocess = e.Prep.Total
+	res, err := e.run(ctx, MarginalGreedy, prefix, nil)
+	if err != nil {
+		return nil, err
+	}
 	return &MVDCResult{
 		Result:      res,
 		Budget:      budget,
@@ -233,19 +162,25 @@ func (e *Engine) NetBudgets(fraction, minBudget float64) []float64 {
 // RunBudgeted places the instances with ILP-II under per-net delay budgets:
 // each net's total added unweighted delay within a tile is bounded by its
 // budget divided evenly across the tiles it borders (a conservative split,
-// since budgets are per net but tiles are solved independently). Infeasible
-// tiles fall back to the budget-respecting greedy, placing as much as fits.
+// since budgets are per net but tiles are solved independently). Every
+// budget must be positive. Tiles the caps make infeasible fall back to the
+// budget-respecting greedy, placing as much as fits, so Placed may trail
+// Requested.
 func (e *Engine) RunBudgeted(instances []*Instance, netBudgets []float64) (*Result, error) {
 	return e.RunBudgetedContext(context.Background(), instances, netBudgets)
 }
 
-// RunBudgetedContext is RunBudgeted with cancellation: the context is
-// checked at every tile boundary and polled inside the per-tile ILP solves.
-// A cancelled context aborts the run — it is never mistaken for ILP
-// infeasibility, so the greedy fallback does not fire on cancellation.
+// RunBudgetedContext is RunBudgeted with cancellation, under the same
+// contract as RunContext: a cancelled context aborts the run and never
+// triggers the greedy fallback.
 func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, netBudgets []float64) (*Result, error) {
 	if len(netBudgets) != len(e.L.Nets) {
 		return nil, fmt.Errorf("core: %d net budgets for %d nets", len(netBudgets), len(e.L.Nets))
+	}
+	for n, b := range netBudgets {
+		if !(b > 0) {
+			return nil, fmt.Errorf("core: net %q: delay budget %g is not positive", e.L.Nets[n].Name, b)
+		}
 	}
 	// Count bordering tiles per net to split the budgets.
 	tilesPerNet := make([]int, len(netBudgets))
@@ -272,72 +207,5 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 			perTile[n] = b
 		}
 	}
-
-	res := &Result{
-		Method: ILPII,
-		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
-		PerNet: make([]float64, len(e.L.Nets)),
-	}
-	start := time.Now()
-	scs := e.getScratches(1)
-	defer e.putScratches(scs)
-	sc := scs[0]
-	base := e.ilpOpts(ctx)
-	bnbOpts := func() *ilp.Options { return sc.withOpts(base) }
-	nc := &NetCap{PerNet: perTile}
-	var placeRows []int
-	for _, in := range instances {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: budgeted run interrupted: %w", err)
-		}
-		solveStart := time.Now()
-		a := make(Assignment, len(in.Columns))
-		_, st, err := sc.solveILPII(ctx, in, nc, a, bnbOpts)
-		res.ILPNodes += st.nodes
-		res.LPPivots += st.pivots
-		if st.incRepaired {
-			res.IncumbentsRepaired++
-		}
-		if st.incDropped {
-			res.IncumbentsDropped++
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("core: budgeted run interrupted: %w", ctxErr)
-		}
-		if err != nil {
-			// Infeasible under the caps: place what fits greedily.
-			clear(a)
-			sc.solveGreedyCapped(a, in, 0, perTile)
-		}
-		res.Phases.Solve += time.Since(solveStart)
-		placed := 0
-		for _, m := range a {
-			placed += m
-		}
-		evalStart := time.Now()
-		u, w, err := in.Evaluate(a)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-		res.Unweighted += u
-		res.Weighted += w
-		res.Requested += in.F
-		res.Placed += placed
-		res.Tiles++
-		err = e.accumulatePerNet(res.PerNet, in, a)
-		res.Phases.Evaluate += time.Since(evalStart)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-		placeStart := time.Now()
-		err = e.place(res.Fill, in, a, &placeRows)
-		res.Phases.Place += time.Since(placeStart)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-	}
-	res.CPU = res.Phases.Solve
-	res.Wall = time.Since(start)
-	res.Phases.Preprocess = e.Prep.Total
-	return res, nil
+	return e.run(ctx, ILPII, instances, &NetCap{PerNet: perTile})
 }

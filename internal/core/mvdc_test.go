@@ -5,8 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"pilfill/internal/density"
 	"pilfill/internal/scanline"
@@ -78,24 +79,50 @@ func TestMaxFill(t *testing.T) {
 	}
 }
 
-func TestQuickFrontierAssignmentValid(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		in := synthInstance(rng, 2+rng.Intn(7))
-		fr := Frontier(in)
-		n := rng.Intn(len(fr.Picks) + 1)
-		a := fr.AssignmentFor(n)
-		total := 0
-		for k, m := range a {
-			if m < 0 || m > in.Columns[k].MaxM {
-				return false
-			}
-			total += m
-		}
-		return total == n
+// TestMarginalGreedyMatchesFrontierPrefix pins the equivalence RunMVDC
+// places through: the marginal greedy (SolveMarginalGreedy's solve, here on
+// one warm scratch) at F = n assigns exactly the frontier's first n picks,
+// for every n, on synthetic tiles and on every buildEngine tile at full
+// capacity.
+func TestMarginalGreedyMatchesFrontierPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var tiles []*Instance
+	for trial := 0; trial < 60; trial++ {
+		tiles = append(tiles, synthInstance(rng, 1+rng.Intn(8)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+	eng, _ := buildEngine(t, false, scanline.DefIII)
+	capacity := make(density.Budget, eng.Dis.NX)
+	for i := range capacity {
+		capacity[i] = make([]int, eng.Dis.NY)
+		for j := range capacity[i] {
+			capacity[i][j] = eng.Tiles[i][j].TotalCapacity()
+		}
+	}
+	stride := 1
+	if raceEnabled {
+		stride = 8
+	}
+	for i, in := range mustInstances(t, eng, capacity) {
+		if i%stride == 0 {
+			tiles = append(tiles, in)
+		}
+	}
+	sc := NewSolveScratch()
+	for _, in := range tiles {
+		fr := Frontier(in)
+		prefix := make(Assignment, len(in.Columns))
+		got := make(Assignment, len(in.Columns))
+		inN := *in
+		for n := 0; n <= len(fr.Picks); n++ {
+			if n > 0 {
+				prefix[fr.Picks[n-1]]++
+			}
+			inN.F = n
+			clear(got)
+			if sc.solveMarginalGreedy(got, &inN, nil); !slices.Equal(got, prefix) {
+				t.Fatalf("tile (%d,%d) n=%d: marginal greedy %v, frontier prefix %v", in.I, in.J, n, got, prefix)
+			}
+		}
 	}
 }
 
@@ -210,6 +237,21 @@ func TestRunBudgeted(t *testing.T) {
 	if _, err := eng.RunBudgeted(instances, []float64{1}); err == nil {
 		t.Error("short budget vector accepted")
 	}
+	// A budget that is not positive (zero, negative or NaN) errors naming
+	// the net: ILP-II reads a zero cap as "uncapped", so an accepted zero
+	// would place the full budget and charge delay to that net.
+	const bad = 1
+	for _, b := range []float64{0, -1e-15, math.NaN()} {
+		budgets := eng.NetBudgets(10, 1e-12)
+		budgets[bad] = b
+		_, err := eng.RunBudgeted(instances, budgets)
+		if err == nil {
+			t.Fatalf("budget %g accepted", b)
+		}
+		if name := eng.L.Nets[bad].Name; !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("budget %g: error %q does not name net %q", b, err, name)
+		}
+	}
 }
 
 // perNetCappedGreedyRef is the pre-merge budget-respecting greedy of
@@ -316,7 +358,7 @@ func TestCappedGreedyMatchesPerNetReference(t *testing.T) {
 		}
 		want := perNetCappedGreedyRef(in, perTile)
 		got := make(Assignment, len(in.Columns))
-		sc.solveGreedyCapped(got, in, 0, perTile)
+		sc.solveGreedyCapped(got, in, &NetCap{PerNet: perTile})
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (budgets %v): got %v, reference %v", trial, perTile, got, want)
 		}
@@ -334,7 +376,7 @@ func TestCappedGreedyMatchesPerNetReference(t *testing.T) {
 		uniform := []float64{capS, capS, capS}
 		want = perNetCappedGreedyRef(in, uniform)
 		got = make(Assignment, len(in.Columns))
-		sc.solveGreedyCapped(got, in, capS, nil)
+		sc.solveGreedyCapped(got, in, &NetCap{MaxAddedDelay: capS})
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (uniform cap %g): got %v, reference %v", trial, capS, got, want)
 		}

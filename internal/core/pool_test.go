@@ -73,7 +73,7 @@ func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Ins
 			a = SolveMarginalGreedy(in)
 		case GreedyCapped:
 			a = make(Assignment, len(in.Columns))
-			NewSolveScratch().solveGreedyCapped(a, in, eng.Cfg.NetCap, nil)
+			NewSolveScratch().solveGreedyCapped(a, in, nc)
 		case DP:
 			a, err = SolveDP(in)
 		case ILPI:

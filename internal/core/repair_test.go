@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"pilfill/internal/ilp"
@@ -302,4 +305,110 @@ func TestRunCountsRepairedIncumbents(t *testing.T) {
 			cold.IncumbentsRepaired, cold.IncumbentsDropped, warm.IncumbentsRepaired, warm.IncumbentsDropped)
 	}
 	requireResultsIdentical(t, "capped-memo", warm, cold)
+}
+
+// placeableRepairTiles returns n copies of repairInstance carrying the
+// column and free-row data Run needs to place them.
+func placeableRepairTiles(n int) []*Instance {
+	var instances []*Instance
+	for i := 0; i < n; i++ {
+		in := repairInstance()
+		in.I = i
+		for k := range in.Columns {
+			in.Columns[k].Col = &scanline.Column{Col: k}
+			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
+		}
+		instances = append(instances, in)
+	}
+	return instances
+}
+
+// TestRunILPIIUnderPlacesInfeasibleCappedTile pins the capped-infeasible
+// outcome: a 1e-15 s cap admits one feature per column of the repair tile,
+// so no assignment places F = 4 within it. Run(ILPII) does not fail; it
+// places exactly GreedyCapped's assignment for the tile.
+func TestRunILPIIUnderPlacesInfeasibleCappedTile(t *testing.T) {
+	l, d := smallLayout(t)
+	const netCap = 1e-15
+	eng, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42, NetCap: netCap, NoSolveMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := placeableRepairTiles(1)
+	in := instances[0]
+	nc := &NetCap{MaxAddedDelay: netCap}
+	if _, _, err := SolveILPII(in, &eng.Cfg.ILPOpts, nc); err == nil {
+		t.Fatal("ILP-II found a full assignment within the caps; the tile is not infeasible")
+	}
+	want := make(Assignment, len(in.Columns))
+	NewSolveScratch().solveGreedyCapped(want, in, nc)
+	if placedTotal(want) >= in.F {
+		t.Fatalf("capped greedy placed %v, want fewer than %d", want, in.F)
+	}
+	got, err := eng.Run(ILPII, instances)
+	if err != nil {
+		t.Fatalf("capped ILP-II on an infeasible tile: %v", err)
+	}
+	greedy, err := eng.Run(GreedyCapped, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Placed != placedTotal(want) || got.Requested != in.F {
+		t.Errorf("placed %d of %d, want %d of %d", got.Placed, got.Requested, placedTotal(want), in.F)
+	}
+	got.ILPNodes, got.LPPivots = greedy.ILPNodes, greedy.LPPivots
+	requireResultsIdentical(t, "ILP-II fallback vs GreedyCapped", got, greedy)
+}
+
+// cancelAfterCtx reports cancellation from its n-th Err call on, so a
+// cancel can land inside a tile solve deterministically.
+type cancelAfterCtx struct {
+	context.Context
+	left atomic.Int64
+	done chan struct{}
+}
+
+func (c *cancelAfterCtx) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfterCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCappedRunCancelledNeverFallsBack cancels a capped ILP-II run inside
+// its first tile solve, after the tile-boundary check. The run fails with
+// context.Canceled and the cancelled solve is neither placed by the greedy
+// fallback nor stored in the memo, so a later run on the same memo matches
+// a memo-off run.
+func TestCappedRunCancelledNeverFallsBack(t *testing.T) {
+	l, d := smallLayout(t)
+	memo := NewSolveMemo()
+	eng, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42, NetCap: 2e-15, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := placeableRepairTiles(1)
+	ctx := &cancelAfterCtx{Context: context.Background(), done: make(chan struct{})}
+	ctx.left.Store(1) // the tile-boundary check passes; the hull sweep sees the cancel
+	if _, err := eng.RunContext(ctx, ILPII, instances); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := memo.Stats(); st.Stored != 0 {
+		t.Fatalf("cancelled run stored %d memo entries", st.Stored)
+	}
+	warm, err := eng.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Cfg.NoSolveMemo, eng.memo = true, nil
+	fresh, err := eng.Run(ILPII, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResultsIdentical(t, "after a cancelled run", warm, fresh)
+	if warm.Placed != warm.Requested {
+		t.Errorf("feasible capped tile placed %d of %d", warm.Placed, warm.Requested)
+	}
 }

@@ -104,17 +104,10 @@ func (sc *SolveScratch) solveGreedy(a Assignment, in *Instance) {
 
 // solveGreedyCapped runs the Fig 8 greedy with the footnote's safeguard: an
 // upper bound on each net's added delay. Columns are filled in cost order,
-// but the take is reduced so no bounding net exceeds its cap; the method may
-// therefore place fewer than F features. The cap is perNet[net] when perNet
-// is set (RunBudgeted's per-tile split, where 0 blocks the net entirely) and
-// the uniform capS otherwise. a must be zeroed.
-func (sc *SolveScratch) solveGreedyCapped(a Assignment, in *Instance, capS float64, perNet []float64) {
-	capOf := func(net int) float64 {
-		if perNet != nil {
-			return perNet[net]
-		}
-		return capS
-	}
+// but the take is reduced so no bounding net exceeds nc.budgetFor(net) (a
+// per-net budget of 0 blocks the net entirely); the method may therefore
+// place fewer than F features. a must be zeroed.
+func (sc *SolveScratch) solveGreedyCapped(a Assignment, in *Instance, nc *NetCap) {
 	sc.keys = wholeColumnKeys(sc.keys, in)
 	spent := sc.spentMap()
 	remaining := in.F
@@ -132,8 +125,8 @@ func (sc *SolveScratch) solveGreedyCapped(a Assignment, in *Instance, capS float
 			// the same per-net delay that Evaluate and PerNet report.
 			for take > 0 {
 				dc := cv.DeltaC[take]
-				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= capOf(cv.NetLow)
-				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= capOf(cv.NetHigh)
+				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= nc.budgetFor(cv.NetLow)
+				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= nc.budgetFor(cv.NetHigh)
 				if okLow && okHigh {
 					break
 				}
@@ -202,13 +195,14 @@ func (h *marginalHeap) popItem() marginalItem {
 // coarser granularity.
 func SolveMarginalGreedy(in *Instance) Assignment {
 	a := make(Assignment, len(in.Columns))
-	NewSolveScratch().solveMarginalGreedy(a, in)
+	NewSolveScratch().solveMarginalGreedy(a, in, nil)
 	return a
 }
 
 // solveMarginalGreedy is SolveMarginalGreedy writing into a zeroed
-// Assignment over the scratch's marginal heap.
-func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance) {
+// Assignment over the scratch's marginal heap. A non-nil fr also records
+// each pick and the accumulated cost after it (see Frontier).
+func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance, fr *FillFrontier) {
 	hp := &sc.mheap
 	h := (*hp)[:0]
 	for k := range in.Columns {
@@ -218,9 +212,15 @@ func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance) {
 	}
 	*hp = h
 	heap.Init(hp)
+	total := 0.0
 	for placed := 0; placed < in.F && hp.Len() > 0; placed++ {
 		it := hp.popItem()
 		a[it.k] = it.next
+		if fr != nil {
+			total += it.delta
+			fr.Picks = append(fr.Picks, it.k)
+			fr.Cost = append(fr.Cost, total)
+		}
 		cv := &in.Columns[it.k]
 		if it.next < cv.MaxM {
 			hp.pushItem(marginalItem{

@@ -51,7 +51,7 @@ type SubmitOptions struct {
 	Weighted     bool    `json:"weighted,omitempty"`
 	SlackDef     int     `json:"slackdef,omitempty"` // 1, 2 or 3; default 3
 	Seed         int64   `json:"seed,omitempty"`
-	NetCapPS     float64 `json:"netcap_ps,omitempty"`
+	NetCapPS     float64 `json:"netcap_ps,omitempty"` // ps; ILP-II under-places a tile no assignment fits
 	Workers      int     `json:"workers,omitempty"`
 	Grounded     bool    `json:"grounded,omitempty"`
 	ILPNodeLimit int     `json:"ilp_node_limit,omitempty"`

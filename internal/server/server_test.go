@@ -144,6 +144,32 @@ func TestEndToEndGreedyMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestCappedILPIIJobUnderPlaces: a T2 ILP-II job whose net cap leaves tiles
+// with no assignment of their full fill amount ends done, placing what fits
+// there, rather than failing.
+func TestCappedILPIIJobUnderPlaces(t *testing.T) {
+	_, ts := startServer(t, server.Config{Queue: jobqueue.Config{Capacity: 4, Workers: 1}})
+	code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", server.SubmitRequest{
+		Testcase: "T2",
+		Method:   "ILP-II",
+		Options:  server.SubmitOptions{Window: 32, R: 8, NetCapPS: 0.002},
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, data)
+	}
+	var sub server.JobView
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	final := pollJob(t, ts.URL, sub.ID, func(v server.JobView) bool { return v.State == "done" || v.State == "failed" })
+	if final.State != "done" {
+		t.Fatalf("capped job finished %s: %s", final.State, final.Error)
+	}
+	if r := final.Report; r == nil || r.Placed >= r.Requested {
+		t.Fatalf("capped job report %+v, want placed < requested", r)
+	}
+}
+
 // TestCancelRunningJob is the second acceptance path: DELETE a running job,
 // observe the worker freed within the deadline, and check /metrics reflects
 // a cancelled and a done job.

@@ -96,7 +96,9 @@ type Options struct {
 	// ILPNodeLimit caps branch-and-bound nodes per tile (0 = default).
 	ILPNodeLimit int
 	// NetCap bounds each net's added delay per tile, in seconds, for
-	// GreedyCapped and ILP-II (0 = off).
+	// GreedyCapped and ILP-II (0 = off). On a tile where no assignment of
+	// the full fill amount fits the cap, ILP-II places what fits with the
+	// capped greedy, so Placed may trail Requested.
 	NetCap float64
 	// Activity holds optional per-net switching activities in [0, 1] for
 	// crosstalk-aware costing (switch-factor model); nil = quiet neighbors.
@@ -296,8 +298,9 @@ func (s *Session) report(res *core.Result) *Report {
 // RunBudgeted places the session's budget with ILP-II under per-net delay
 // budgets derived from baseline timing: each net may absorb slackFraction of
 // its worst baseline Elmore sink delay (the paper's Section 7 "budgeted
-// capacitance" flow). Tiles where the caps make the fill amount infeasible
-// fall back to a budget-respecting greedy, so Placed may trail Requested.
+// capacitance" flow). It is ILP-II under those per-net caps, so tiles
+// where the caps make the fill amount infeasible are placed by the
+// budget-respecting greedy, and Placed may trail Requested.
 func (s *Session) RunBudgeted(slackFraction float64) (*Report, error) {
 	return s.RunBudgetedContext(context.Background(), slackFraction)
 }
