@@ -32,7 +32,8 @@ race:
 
 # Run each fuzzer for FUZZTIME past its seed corpus: the DEF parser and
 # tokenizer (against the strings.Fields oracle), the LEF parser, the GDSII
-# reader and the pilfilld submit decoder. go test fuzzes one target per run.
+# reader, the pilfilld submit decoder and the cluster's region-payload merge.
+# go test fuzzes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/def
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lef
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/gds
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeRegions$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 # Cluster bit-identity smoke test under the race detector: in-process
 # multi-worker scatter/gather (including the kill-a-worker fault path) must

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"math"
 )
@@ -12,31 +11,34 @@ import (
 // Σ_k c_k(m_k) subject to the single coupling budget row Σ_k m_k = F and the
 // per-column box 0 <= m_k <= MaxM_k. Replacing each cost curve c_k by its
 // lower convex hull ĉ_k (ĉ_k <= c_k pointwise) gives the convexified
-// program, which a marginal-greedy sweep over the per-unit hull marginals
-// solves exactly, with the same heap discipline (and the same
-// (delta, column) tie-break) as SolveMarginalGreedy. Its optimum
-// Σ_k ĉ_k(a_k) is the root LP bound of uncapped ILP-II: the indicator
-// formulation's LP relaxation is exactly the convexified program, and cap
-// rows can only raise it. So it is a lower bound on every tile's integer
-// optimum, and ILP-II returns its warm-start incumbent without branching
-// whenever the incumbent's cost is within the searcher's own 1e-9
-// root-prune threshold of it (hullCertifies). Floating-fill cost curves are
-// convex, so every integer point is a hull vertex and the bound is tight;
-// grounded-fill step curves can sit strictly above their hull.
-
-// hullPollEvery is the sweep's cancellation-poll cadence in heap pops. The
-// hull build additionally polls once per column, the same granularity as
-// SolveDPContext's table fill.
-const hullPollEvery = 4096
+// program, which the marginal sweep over the per-unit hull marginals solves
+// exactly (the same sweep, and the same (delta, column) tie-break, as
+// SolveMarginalGreedy). Its optimum Σ_k ĉ_k(a_k) is the root LP bound of
+// uncapped ILP-II: the indicator formulation's LP relaxation is exactly the
+// convexified program, and cap rows can only raise it. So it is a lower
+// bound on every tile's integer optimum, and ILP-II returns its warm-start
+// incumbent without branching whenever the incumbent's cost is within the
+// searcher's own 1e-9 root-prune threshold of it (hullCertifies).
+//
+// Floating-fill cost curves are convex, so every integer point is a hull
+// vertex, every hull edge is a unit step, and each hull marginal is the raw
+// cost difference SolveMarginalGreedy sweeps, bit for bit. On such a tile
+// the hull sweep is the marginal-greedy incumbent itself: ILP-II runs one
+// sweep, and an incumbent no cap repair changed costs exactly the bound.
+// Grounded-fill step curves can sit strictly above their hull; those tiles
+// run the raw sweep as well and certify through hullCertifies.
 
 // hullSweep builds every column's lower convex hull into the scratch's hull
 // arenas and runs the marginal sweep over it, writing the convexified
 // program's optimum into the scratch's hull assignment, which it returns.
-// A nil assignment means the total capacity is short of F: no bound exists,
+// The bool reports that every column's hull kept all MaxM+1 points (the
+// tile is convex), so the assignment is also the marginal-greedy one. A
+// nil assignment means the total capacity is short of F: no bound exists,
 // and the B&B path owns the infeasibility diagnosis. The assignment and the
 // arenas (read by hullAt) stay valid until the next sweep on this scratch.
-// The only error is a cancelled context.
-func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment, error) {
+// The build polls the context once per column, the same granularity as
+// SolveDPContext's table fill; the only error is a cancelled context.
+func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment, bool, error) {
 	kn := len(in.Columns)
 	sc.hullA = growZero(sc.hullA, kn)
 	a := sc.hullA
@@ -48,17 +50,18 @@ func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment
 	sc.hullMarg = grow(sc.hullMarg, total)
 	sc.hullVert = grow(sc.hullVert, total)
 	sc.hullOff = grow(sc.hullOff, kn)
-	marg, vert, off, hp := sc.hullMarg, sc.hullVert, sc.hullOff, &sc.mheap
+	marg, vert, off := sc.hullMarg, sc.hullVert, sc.hullOff
 
 	// Per-column lower convex hulls (monotone chain over m ascending),
 	// expanded into per-unit convexified marginals. marg[off_k+m] is the
 	// hull slope covering the step m−1 → m — non-decreasing in m by
 	// convexity of the hull — and vert flags the integer points lying ON
 	// the hull, where ĉ_k(m) == c_k(m) exactly.
+	convex := true
 	pos := 0
 	for k := range in.Columns {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		cv := &in.Columns[k]
 		off[k] = pos
@@ -91,6 +94,9 @@ func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment
 			}
 			hull = append(hull, int32(m))
 		}
+		// A popped point never returns, so a hull of n+1 points is a curve
+		// that never lost one: every edge is a unit step.
+		convex = convex && len(hull) == n+1
 		for i := 0; i <= n; i++ {
 			vert[pos+i] = false
 		}
@@ -112,35 +118,17 @@ func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment
 		pos += n + 1
 	}
 
-	// Pop the globally cheapest remaining hull marginal F times. Within a
-	// column the marginals are non-decreasing, so the popped deltas form a
-	// non-decreasing sequence and the first F of them are the convexified
-	// program's optimum.
-	h := (*hp)[:0]
-	for k := range in.Columns {
-		if in.Columns[k].MaxM > 0 {
-			h = append(h, marginalItem{k: k, next: 1, delta: marg[off[k]+1]})
-		}
-	}
-	*hp = h
-	heap.Init(hp)
-	placed := 0
-	for ; placed < in.F && hp.Len() > 0; placed++ {
-		if placed%hullPollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		it := hp.popItem()
-		a[it.k] = it.next
-		if it.next < in.Columns[it.k].MaxM {
-			hp.pushItem(marginalItem{k: it.k, next: it.next + 1, delta: marg[off[it.k]+it.next+1]})
-		}
+	// Within a column the hull marginals are non-decreasing, so the swept
+	// deltas form a non-decreasing sequence and the first F of them are the
+	// convexified program's optimum.
+	placed, err := sc.sweep(ctx, in, a, marg, off, nil)
+	if err != nil {
+		return nil, false, err
 	}
 	if placed < in.F {
-		return nil, nil
+		return nil, false, nil
 	}
-	return a, nil
+	return a, convex, nil
 }
 
 // hullAt returns ĉ_k(m), column k's convexified cost at m from the last

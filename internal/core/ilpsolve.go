@@ -257,7 +257,7 @@ func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 func BuildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
 	sc := NewSolveScratch()
 	inc := make(Assignment, len(in.Columns))
-	repaired, dropped := sc.ilpiiIncumbent(in, netCap, inc)
+	repaired, dropped := sc.ilpiiIncumbent(in, netCap, inc, nil)
 	if dropped {
 		inc = nil
 	}
@@ -374,10 +374,16 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap, inc Assignment)
 
 // ilpiiIncumbent writes ILP-II's warm start into a (zeroed, length ==
 // columns): the marginal-greedy assignment, repaired into per-net cap
-// feasibility when caps are active. dropped reports that no repair could
-// reach the fill total within the caps; a then holds no usable incumbent.
-func (sc *SolveScratch) ilpiiIncumbent(in *Instance, netCap *NetCap, a Assignment) (repaired, dropped bool) {
-	sc.solveMarginalGreedy(a, in, nil)
+// feasibility when caps are active. A non-nil sweep is that assignment
+// already swept (a convex tile's hull sweep) and is copied instead of
+// swept again. dropped reports that no repair could reach the fill total
+// within the caps; a then holds no usable incumbent.
+func (sc *SolveScratch) ilpiiIncumbent(in *Instance, netCap *NetCap, a, sweep Assignment) (repaired, dropped bool) {
+	if sweep != nil {
+		copy(a, sweep)
+	} else {
+		sc.solveMarginalGreedy(a, in, nil)
+	}
 	if !netCap.active() {
 		return false, false
 	}
@@ -535,42 +541,55 @@ func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment)
 }
 
 // solveILPII solves ILP-II on the scratch, writing the assignment into a
-// (zeroed, length == columns). It writes the (cap-repaired) marginal-greedy
-// incumbent into a and accepts it when the hull bound proves it optimal
-// under the searcher's own root-prune rule (hullCertifies); otherwise it
-// builds the ILP-II program around the incumbent and branches. bnbOpts
-// supplies the per-tile B&B options and is called only when the tile
-// branches. The returned solution is searcher-owned, nil for a trivial or
-// certified tile or a solver error; st carries the search effort and the
+// (zeroed, length == columns). It runs the hull sweep, writes the
+// (cap-repaired) marginal-greedy incumbent into a and accepts it when the
+// hull bound proves it optimal under the searcher's own root-prune rule;
+// otherwise it branches (branchILPII). On a convex tile the hull sweep is
+// the incumbent, so it is swept once, and unless a cap repair changed it
+// its cost is the bound bit for bit: it certifies without hullCertifies.
+// bnbOpts supplies the per-tile B&B options and is called only when the
+// tile branches. The returned solution is searcher-owned, nil for a trivial
+// or certified tile or a solver error; st carries the search effort and the
 // warm-start repair outcome, which stays set when the search fails.
 func (sc *SolveScratch) solveILPII(ctx context.Context, in *Instance, netCap *NetCap, a Assignment, bnbOpts func() *ilp.Options) (*ilp.Solution, solveStats, error) {
 	var st solveStats
 	if len(in.Columns) == 0 || in.F == 0 {
 		return nil, st, nil
 	}
-	hull, err := sc.hullSweep(ctx, in)
+	hull, convex, err := sc.hullSweep(ctx, in)
 	if err != nil {
 		return nil, st, err
 	}
-	st.incRepaired, st.incDropped = sc.ilpiiIncumbent(in, netCap, a)
-	if !st.incDropped && hull != nil && sc.hullCertifies(in, a, hull) {
+	var sweep Assignment
+	if convex {
+		sweep = hull
+	}
+	st.incRepaired, st.incDropped = sc.ilpiiIncumbent(in, netCap, a, sweep)
+	if !st.incDropped && hull != nil && (convex && !st.incRepaired || sc.hullCertifies(in, a, hull)) {
 		return nil, st, nil
 	}
+	sol, err := sc.branchILPII(in, netCap, a, &st, bnbOpts())
+	return sol, st, err
+}
+
+// branchILPII builds the ILP-II program around the incumbent in a (none
+// when st records it dropped), runs branch-and-bound under opts and decodes
+// the optimum into a, recording the search effort in st.
+func (sc *SolveScratch) branchILPII(in *Instance, netCap *NetCap, a Assignment, st *solveStats, opts *ilp.Options) (*ilp.Solution, error) {
 	inc := a
 	if st.incDropped {
 		inc = nil
 	}
 	g := sc.buildILPII(in, netCap, inc)
-	opts := bnbOpts()
 	opts.Incumbent = g.Incumbent
 	sol, err := sc.searcher.Solve(g.P, opts)
 	if err != nil {
-		return nil, st, fmt.Errorf("core: ILP-II: %w", err)
+		return nil, fmt.Errorf("core: ILP-II: %w", err)
 	}
 	st.nodes, st.pivots = sol.Nodes, sol.LPPivots
 	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return sol, st, fmt.Errorf("core: ILP-II: solver returned %v", sol.Status)
+		return sol, fmt.Errorf("core: ILP-II: solver returned %v", sol.Status)
 	}
 	g.decodeInto(a, sol.X)
-	return sol, st, nil
+	return sol, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pilfill/internal/density"
+	"pilfill/internal/geom"
 	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/scanline"
@@ -31,21 +32,11 @@ func forcedBranchILPII(in *Instance, opts ilp.Options, nc *NetCap) (Assignment, 
 	if len(in.Columns) == 0 || in.F == 0 {
 		return a, nil
 	}
-	_, dropped := sc.ilpiiIncumbent(in, nc, a)
-	inc := a
-	if dropped {
-		inc = nil
-	}
-	g := sc.buildILPII(in, nc, inc)
-	opts.Incumbent = g.Incumbent
-	sol, err := sc.searcher.Solve(g.P, &opts)
-	if err != nil {
+	var st solveStats
+	st.incRepaired, st.incDropped = sc.ilpiiIncumbent(in, nc, a, nil)
+	if _, err := sc.branchILPII(in, nc, a, &st, &opts); err != nil {
 		return nil, err
 	}
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return nil, fmt.Errorf("solver returned %v", sol.Status)
-	}
-	g.decodeInto(a, sol.X)
 	return a, nil
 }
 
@@ -80,10 +71,11 @@ func requireCertifiedMatchesForced(t *testing.T, label string, sc *SolveScratch,
 
 // TestCertifiedILPIIMatchesForcedBranch is the gate of the certify-first
 // ILP-II path: on real T1/T2/T3 tiles at all six W/r rows (weighted and
-// unweighted, uncapped and under a loose and a tight per-net cap) and on
-// random convex and non-convex synthetic tiles with and without caps, the
-// assignment is bit-equal to running branch-and-bound on every tile. Both
-// the certificate and its B&B fallback must be exercised.
+// unweighted, uncapped and under a loose and a tight per-net cap), on
+// jittered-chip tiles (uncapped, under the chip jobs' cap and two tighter
+// ones) and on random convex and non-convex synthetic tiles with and
+// without caps, the assignment is bit-equal to running branch-and-bound on
+// every tile. Both the certificate and its B&B fallback must be exercised.
 func TestCertifiedILPIIMatchesForcedBranch(t *testing.T) {
 	// The fallback's node limit only bounds the proofs of infeasibility the
 	// tight caps provoke: the oracle and the fallback run the identical
@@ -142,6 +134,52 @@ func TestCertifiedILPIIMatchesForcedBranch(t *testing.T) {
 	t.Logf("real tiles: %+v", tiles)
 	if tiles.certified == 0 || cappedFallbacks == 0 {
 		t.Fatalf("coverage too thin: %+v, %d capped tiles failed the certificate", tiles, cappedFallbacks)
+	}
+
+	// Jittered chips under the chip jobs' dissection (window 12800 nm,
+	// r = 4) and elliptic FFT budget: nearly every tile is its own solve
+	// pattern, as on the memo-miss path of a chip run. Uncapped and under
+	// the chip jobs' 5e-16 s net cap every tile certifies; the two tighter
+	// caps make some repaired incumbents fail the certificate.
+	chips, chipStride := 3, 2
+	if testing.Short() || raceEnabled {
+		chips, chipStride = 1, 8
+	}
+	var chipTiles certifyTally
+	cappedFallbacks = 0
+	for seed := int64(1); seed <= int64(chips); seed++ {
+		spec := testcases.Chip(4, 16)
+		l := jitteredChip(t, spec, seed)
+		dis, err := layout.NewDissection(l.Die, 12800, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(l, dis, spec.Rule, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := density.NewGrid(l, dis, eng.Occ, 0)
+		budget, _, err := density.FFTBudget(grid, density.NewKernel(density.EllipticKernel, 4),
+			density.FFTBudgetOptions{TargetMin: 0.3, MaxDensity: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances := mustInstances(t, eng, budget)
+		for _, capS := range []float64{0, 5e-16, 5e-17, 1e-17} {
+			label := fmt.Sprintf("jittered chip %d cap=%g", seed, capS)
+			nc := &NetCap{MaxAddedDelay: capS}
+			before := chipTiles
+			for i := int(seed) % chipStride; i < len(instances); i += chipStride {
+				requireCertifiedMatchesForced(t, label, sc, instances[i], opts, nc, &chipTiles)
+			}
+			if capS > 0 {
+				cappedFallbacks += chipTiles.branched - before.branched + chipTiles.failed - before.failed
+			}
+		}
+	}
+	t.Logf("jittered chip tiles: %+v", chipTiles)
+	if chipTiles.certified == 0 || cappedFallbacks == 0 {
+		t.Fatalf("coverage too thin: %+v, %d capped tiles failed the certificate", chipTiles, cappedFallbacks)
 	}
 
 	rng := rand.New(rand.NewSource(17))
@@ -206,7 +244,7 @@ func TestDualCertifiesCapModelCurves(t *testing.T) {
 }
 
 // TestSolveILPIIContextCancelled: a cancelled context stops ILP-II in the
-// hull sweep (which polls per column and every hullPollEvery heap pops),
+// hull sweep (which polls per column and every sweepPollEvery heap pops),
 // before the warm start is built or the searcher is set up, and the same
 // scratch still solves the tile with a live context.
 func TestSolveILPIIContextCancelled(t *testing.T) {
@@ -235,6 +273,43 @@ func TestSolveILPIIContextCancelled(t *testing.T) {
 	if err := in.Valid(a); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// jitteredChip is the chip benchmark's jittered input: testcases.Chip's
+// cell grammar (one two-net horizontal line pair per cell), with each
+// cell's line pair shifted by one of 8 vertical offsets 100 nm apart and
+// its ends inset by one of 8 insets 200 nm apart, the variant drawn per
+// cell from the seed.
+func jitteredChip(t *testing.T, spec testcases.ChipSpec, seed int64) *layout.Layout {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cx, cy := spec.CellsX, spec.CellsY
+	l := &layout.Layout{
+		Name:   "chip_jittered",
+		Die:    geom.Rect{X2: int64(cx) * spec.CellW, Y2: int64(cy) * spec.CellH},
+		Layers: []layout.Layer{{Name: "m3", Dir: layout.Horizontal, Width: spec.Width}},
+	}
+	for y := 0; y < cy; y++ {
+		for x := 0; x < cx; x++ {
+			v := rng.Intn(64)
+			dy, inset := int64(v%8)*100-300, 400+int64(v/8)*200
+			x0, x1 := int64(x)*spec.CellW+inset, int64(x+1)*spec.CellW-inset
+			for k, yOff := range [2]int64{spec.YLow, spec.YHigh} {
+				yy := int64(y)*spec.CellH + yOff + dy
+				a, b := geom.Point{X: x0, Y: yy}, geom.Point{X: x1, Y: yy}
+				l.Nets = append(l.Nets, &layout.Net{
+					Name:     fmt.Sprintf("c%d_%d_%d", x, y, k),
+					Source:   layout.Pin{P: a},
+					Sinks:    []layout.Pin{{P: b}},
+					Segments: []layout.Segment{{Layer: 0, A: a, B: b, Width: spec.Width}},
+				})
+			}
+		}
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // dualSynthInstance builds a random tile whose exact cost curves are small-
@@ -497,7 +572,7 @@ func TestHullCertificateIsTheRootPrune(t *testing.T) {
 				{MaxM: 1, CostExact: []float64{0, s * (1 + delta)}, NetLow: -1, NetHigh: -1},
 			}}
 			sc := NewSolveScratch()
-			hull, err := sc.hullSweep(context.Background(), in)
+			hull, _, err := sc.hullSweep(context.Background(), in)
 			if err != nil || hull == nil {
 				t.Fatalf("hull sweep: %v, %v", hull, err)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -147,44 +146,116 @@ func (sc *SolveScratch) solveGreedyCapped(a Assignment, in *Instance, nc *NetCap
 	}
 }
 
-// marginalItem is a heap entry: the cost of the next feature in a column.
+// marginalItem is a sweep heap entry: the cost of the next feature in a
+// column.
 type marginalItem struct {
 	k     int
 	next  int // the feature index this entry would place (1-based)
 	delta float64
 }
 
+// less is the sweep order: cheaper marginal first, lower column index on
+// ties. A column is in the heap at most once, so it is a strict total order
+// and the heap's minimum is unique: the pop sequence depends only on the
+// heap's contents, never on how the heap arranges them.
+func (it marginalItem) less(o marginalItem) bool {
+	if it.delta != o.delta {
+		return it.delta < o.delta
+	}
+	return it.k < o.k
+}
+
+// marginalHeap is a binary min-heap of marginalItems under less, typed so
+// the sweep pays no interface call per comparison.
 type marginalHeap []marginalItem
 
-func (h marginalHeap) Len() int { return len(h) }
-func (h marginalHeap) Less(a, b int) bool {
-	if h[a].delta != h[b].delta {
-		return h[a].delta < h[b].delta
+// init establishes the heap order over arbitrary contents.
+func (h marginalHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return h[a].k < h[b].k
-}
-func (h marginalHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *marginalHeap) Push(x any)   { *h = append(*h, x.(marginalItem)) }
-func (h *marginalHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// pushItem and popItem are heap.Push/heap.Pop without the interface{}
-// boxing (which allocates per item). heap.Fix performs the identical
-// sift-up/sift-down, and Less is a total order (a column appears at most
-// once), so the pop sequence matches container/heap exactly.
-func (h *marginalHeap) pushItem(it marginalItem) {
-	*h = append(*h, it)
-	heap.Fix(h, h.Len()-1)
 }
 
-func (h *marginalHeap) popItem() marginalItem {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	it := (*h)[n]
-	*h = (*h)[:n]
-	if n > 0 {
-		heap.Fix(h, 0)
+// down sifts h[i] toward the leaves until no child is cheaper: it restores
+// the heap order after the root is replaced, and builds it in init.
+func (h marginalHeap) down(i int) {
+	n := len(h)
+	if i >= n {
+		return
 	}
-	return it
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+}
+
+// sweepPollEvery is the sweep's cancellation-poll cadence in heap pops.
+const sweepPollEvery = 4096
+
+// sweep is the one marginal sweep behind SolveMarginalGreedy, the hull
+// bound and Frontier: it places up to in.F features into a (zeroed), one
+// at a time, always into the column whose next per-unit marginal is
+// cheapest (lowest column index on ties). marg[off[k]+m] is the marginal of
+// column k's step m−1 → m; a nil marg means the raw cost differences
+// costAt(m)−costAt(m−1). A non-nil fr records each pick and the accumulated
+// cost after it. It returns how many features it placed, which is short of
+// F only when the columns run out of capacity. ctx is polled every
+// sweepPollEvery pops; the only error is a cancelled context.
+func (sc *SolveScratch) sweep(ctx context.Context, in *Instance, a Assignment, marg []float64, off []int, fr *FillFrontier) (int, error) {
+	delta := func(k, m int) float64 {
+		if marg != nil {
+			return marg[off[k]+m]
+		}
+		cv := &in.Columns[k]
+		return cv.costAt(m) - cv.costAt(m-1)
+	}
+	h := sc.mheap[:0]
+	for k := range in.Columns {
+		if in.Columns[k].MaxM > 0 {
+			h = append(h, marginalItem{k: k, next: 1, delta: delta(k, 1)})
+		}
+	}
+	sc.mheap = h
+	h.init()
+	total := 0.0
+	placed := 0
+	for ; placed < in.F && len(h) > 0; placed++ {
+		if placed%sweepPollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return placed, err
+			}
+		}
+		it := h[0]
+		a[it.k] = it.next
+		if fr != nil {
+			total += it.delta
+			fr.Picks = append(fr.Picks, it.k)
+			fr.Cost = append(fr.Cost, total)
+		}
+		// Pop and push of the same column in one step: the column's next
+		// marginal replaces the root, or the last leaf does when the column
+		// is full.
+		if it.next < in.Columns[it.k].MaxM {
+			h[0] = marginalItem{k: it.k, next: it.next + 1, delta: delta(it.k, it.next+1)}
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
+	return placed, nil
 }
 
 // SolveMarginalGreedy places one feature at a time, always into the column
@@ -200,36 +271,11 @@ func SolveMarginalGreedy(in *Instance) Assignment {
 }
 
 // solveMarginalGreedy is SolveMarginalGreedy writing into a zeroed
-// Assignment over the scratch's marginal heap. A non-nil fr also records
-// each pick and the accumulated cost after it (see Frontier).
+// Assignment: the sweep over the raw cost differences. A non-nil fr also
+// records each pick and the accumulated cost after it (see Frontier).
 func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance, fr *FillFrontier) {
-	hp := &sc.mheap
-	h := (*hp)[:0]
-	for k := range in.Columns {
-		if in.Columns[k].MaxM > 0 {
-			h = append(h, marginalItem{k: k, next: 1, delta: in.Columns[k].costAt(1)})
-		}
-	}
-	*hp = h
-	heap.Init(hp)
-	total := 0.0
-	for placed := 0; placed < in.F && hp.Len() > 0; placed++ {
-		it := hp.popItem()
-		a[it.k] = it.next
-		if fr != nil {
-			total += it.delta
-			fr.Picks = append(fr.Picks, it.k)
-			fr.Cost = append(fr.Cost, total)
-		}
-		cv := &in.Columns[it.k]
-		if it.next < cv.MaxM {
-			hp.pushItem(marginalItem{
-				k:     it.k,
-				next:  it.next + 1,
-				delta: cv.costAt(it.next+1) - cv.costAt(it.next),
-			})
-		}
-	}
+	// A background context never cancels, so the sweep cannot fail.
+	sc.sweep(context.Background(), in, a, nil, nil, fr)
 }
 
 // DPMaxStates bounds the dynamic program's table size (columns × budget).

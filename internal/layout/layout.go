@@ -302,7 +302,7 @@ func (g *SiteGrid) SiteCenterX(c int) int64 { return g.SiteX(c) + g.Rule.Feature
 
 // gridRange returns the half-open index range [lo, hi) of grid cells whose
 // feature span [origin + i*pitch, origin + i*pitch + feature) intersects
-// [a, b), clamped to [0, count).
+// [a, b), clamped to [0, count). An empty span (a >= b) intersects nothing.
 func gridRange(origin, pitch, feature, a, b int64, count int) (lo, hi int) {
 	// Cell i intersects iff i*pitch > a - origin - feature  AND
 	//                       i*pitch < b - origin.
@@ -310,7 +310,7 @@ func gridRange(origin, pitch, feature, a, b int64, count int) (lo, hi int) {
 	hi64 := floorDiv(b-origin-1, pitch) + 1 // smallest i with i*pitch >= b-origin
 	lo = clampIdx(lo64, count)
 	hi = clampIdx(hi64, count)
-	if lo > hi {
+	if lo > hi || a >= b {
 		lo = hi
 	}
 	return lo, hi

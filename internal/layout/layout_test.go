@@ -239,6 +239,11 @@ func TestQuickColRangeMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
+	// A seed that draws an empty span (x1 = x2 = 4629) strictly inside a
+	// site, which once came back as the non-empty range [11, 12).
+	if !f(8267686274707988139) {
+		t.Fatal("empty span strictly inside a site: ColRange is not empty")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
