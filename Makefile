@@ -4,9 +4,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X pilfill/internal/obs.Version=$(VERSION)"
 
-.PHONY: ci fmt vet bench-vet build test race fuzz-smoke cluster-smoke bench trace-smoke cluster-trace-smoke serve
+.PHONY: ci fmt vet bench-vet bench-check build test race fuzz-smoke cluster-smoke bench trace-smoke cluster-trace-smoke serve
 
-ci: fmt vet bench-vet build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke
+ci: fmt vet bench-vet bench-check build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -20,6 +20,22 @@ vet:
 # instead of the benchmark.
 bench-vet:
 	cd cmd/bench && $(GO) vet ./... && $(GO) test ./...
+
+# Full-size benchmark gate: every workload once at seed 1, through the
+# command BENCHMARK.json names. Each unit's fill hash and delay bits are
+# checked against cmd/bench/expected.json, which records outcomes only for
+# the full sizes (bench-vet's tests run the quick ones). Fails when the
+# benchmark cannot build or start (non-zero exit) or a unit is wrong.
+BENCH_WORKLOADS := session-t3 chip-periodic chip-jittered cluster-jittered
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$(bash cmd/bench/run.sh --workload $$w --seed 1 --seconds 1) || \
+			{ echo "bench-check: $$w exited non-zero"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "bench-check: $$w $$(printf '%s' "$$last" | cut -c1-60)"; \
+		case "$$last" in *'"correct":true'*) ;; \
+			*) echo "bench-check: $$w is not correct: $$last"; exit 1;; esac; \
+	done
 
 build:
 	$(GO) build $(LDFLAGS) ./...

@@ -37,15 +37,13 @@ func synthInstance(rng *rand.Rand, nCols int) *Instance {
 			rW := rU * float64(wl)
 			n := cv.MaxM + 1
 			cv.DeltaC = make([]float64, n)
-			cv.EvalUnweighted = make([]float64, n)
-			cv.EvalWeighted = make([]float64, n)
+			cv.CostExact = make([]float64, n)
 			for m := 1; m < n; m++ {
 				dc := tbl.Delta(m)
 				cv.DeltaC[m] = dc
-				cv.EvalUnweighted[m] = rU * dc
-				cv.EvalWeighted[m] = rW * dc
+				cv.CostExact[m] = rU * dc
 			}
-			cv.CostExact = cv.EvalUnweighted
+			cv.RHatU, cv.RHatW = rU, rW
 			cv.LinearSlope = rU * proc.DeltaLinear(1, w, d)
 			cv.NetLow = rng.Intn(3)
 			cv.RLow = rU
@@ -225,14 +223,12 @@ func TestGreedyPrefersCheapColumns(t *testing.T) {
 	}
 	n := 5
 	expensive.DeltaC = make([]float64, n)
-	expensive.EvalUnweighted = make([]float64, n)
-	expensive.EvalWeighted = make([]float64, n)
+	expensive.CostExact = make([]float64, n)
 	for m := 1; m < n; m++ {
 		expensive.DeltaC[m] = tbl.Delta(m)
-		expensive.EvalUnweighted[m] = 100 * tbl.Delta(m)
-		expensive.EvalWeighted[m] = 100 * tbl.Delta(m)
+		expensive.CostExact[m] = 100 * tbl.Delta(m)
 	}
-	expensive.CostExact = expensive.EvalUnweighted
+	expensive.RHatU, expensive.RHatW = 100, 100
 	free := ColumnVar{Col: &scanline.Column{Col: 0, Capacity: 5}, MaxM: 5, NetLow: -1, NetHigh: -1}
 	in := &Instance{F: 5, Columns: []ColumnVar{expensive, free}}
 	a := SolveGreedy(in)

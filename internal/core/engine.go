@@ -381,22 +381,59 @@ func (e *Engine) CacheStats() cap.CacheStats {
 // concurrently; the instance list is identical to the serial build. A
 // capacitance table that cannot cover a column's extracted capacity is an
 // extraction bug and surfaces as an error (lowest tile first).
+//
+// A counting pass sizes every tile's share up front, so one call makes the
+// same few allocations however many tiles and columns it builds: one
+// []Instance, one []ColumnVar and one CostExact slab, each tile owning a
+// full-slice-expression window of them (an append to one tile's columns or
+// curves can never run into the next tile's).
 func (e *Engine) Instances(budget density.Budget) ([]*Instance, error) {
 	start := time.Now()
 	build := e.Cfg.Trace.Start("phase", "build", 0, e.prepSpan)
-	type slot struct{ i, j, want int }
-	var slots []slot
+	// slot is a budgeted tile and where its shares of the column and curve
+	// slabs start; each share ends where the next slot's starts.
+	type slot struct{ i, j, want, col, curve int }
+	n := 0
 	for i := 0; i < e.Dis.NX; i++ {
 		for j := 0; j < e.Dis.NY; j++ {
-			if want := budget[i][j]; want > 0 {
-				slots = append(slots, slot{i, j, want})
+			if budget[i][j] > 0 {
+				n++
 			}
 		}
 	}
-	built := make([]*Instance, len(slots))
-	errs := make([]error, len(slots))
-	fanOut(e.Cfg.Workers, len(slots), func(s int) {
-		built[s], errs[s] = e.buildInstance(slots[s].i, slots[s].j, slots[s].want)
+	slots := make([]slot, 0, n)
+	nCols, nCurve := 0, 0
+	for i := 0; i < e.Dis.NX; i++ {
+		for j := 0; j < e.Dis.NY; j++ {
+			want := budget[i][j]
+			if want <= 0 {
+				continue
+			}
+			slots = append(slots, slot{i, j, want, nCols, nCurve})
+			for k := range e.Tiles[i][j].Cols {
+				col := &e.Tiles[i][j].Cols[k]
+				if col.Capacity <= 0 {
+					continue
+				}
+				nCols++
+				if col.HasLow || col.HasHigh {
+					nCurve += col.Capacity + 1
+				}
+			}
+		}
+	}
+	built := make([]Instance, n)
+	cols := make([]ColumnVar, nCols)
+	curves := make([]float64, nCurve)
+	errs := make([]error, n)
+	fanOut(e.Cfg.Workers, n, func(s int) {
+		sl := &slots[s]
+		colEnd, curveEnd := nCols, nCurve
+		if s+1 < n {
+			colEnd, curveEnd = slots[s+1].col, slots[s+1].curve
+		}
+		errs[s] = e.buildInstance(&built[s], sl.i, sl.j, sl.want,
+			cols[sl.col:colEnd:colEnd], curves[sl.curve:curveEnd:curveEnd])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -404,10 +441,10 @@ func (e *Engine) Instances(budget density.Budget) ([]*Instance, error) {
 			return nil, err
 		}
 	}
-	var out []*Instance
-	for _, in := range built {
-		if len(in.Columns) > 0 {
-			out = append(out, in)
+	out := make([]*Instance, 0, n)
+	for s := range built {
+		if len(built[s].Columns) > 0 {
+			out = append(out, &built[s])
 		}
 	}
 	dur := time.Since(start)
@@ -667,9 +704,15 @@ func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, 
 	workers := workerCount(e.Cfg.Workers, len(instances))
 	// One zeroed slab carved into per-tile assignment slices: a single
 	// allocation per run instead of one per tile.
-	totalCols := 0
+	totalCols, totalF := 0, 0
 	for _, in := range instances {
 		totalCols += len(in.Columns)
+		totalF += in.F
+	}
+	// Every method places at most F features per tile, so the fill list is
+	// sized once.
+	if totalF > 0 {
+		res.Fill.Fills = make([]layout.Fill, 0, totalF)
 	}
 	slab := make([]int, totalCols)
 	off := 0
@@ -857,14 +900,14 @@ func (e *Engine) accumulatePerNet(perNet []float64, in *Instance, a Assignment) 
 	return nil
 }
 
-// freeRowsCenterOut orders a column's free rows nearest the gap's vertical
-// center first, the lower row first at equal distance. This is the placement
-// order of place; buildInstance memoizes it per column so repeated runs over
-// the same instances skip the occupancy scan. A row's offset from the center
-// grows strictly with the row, so two pointers walk outward from the first
-// row at or above the center, skip blocked rows and take the nearer side at
-// each step: the (distance, row) order in one pass with no sort.
-func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
+// appendFreeRows appends to buf the first m of the column's free rows in
+// placement order: nearest the gap's vertical center first, the lower row
+// first at equal distance. A row's offset from the center grows strictly
+// with the row, so two pointers walk outward from the first row at or above
+// the center, skip blocked rows and take the nearer side at each step: the
+// (distance, row) order in one pass with no sort, stopping after m rows
+// (fewer when the column has fewer free rows).
+func (e *Engine) appendFreeRows(buf []int, cv *ColumnVar, m int) []int {
 	col := cv.Col
 	// Row r's feature center sits SiteY(r) - c above the gap center.
 	c := (col.YLo+col.YHi)/2 - e.Rule.Feature/2
@@ -873,8 +916,7 @@ func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
 		hi++
 	}
 	lo := hi - 1
-	free := make([]int, 0, col.RowHi-col.RowLo)
-	for {
+	for taken := 0; taken < m; taken++ {
 		for lo >= col.RowLo && e.Occ.Blocked(col.Col, lo) {
 			lo--
 		}
@@ -883,41 +925,36 @@ func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
 		}
 		switch {
 		case lo >= col.RowLo && (hi >= col.RowHi || c-e.Grid.SiteY(lo) <= e.Grid.SiteY(hi)-c):
-			free = append(free, lo)
+			buf = append(buf, lo)
 			lo--
 		case hi < col.RowHi:
-			free = append(free, hi)
+			buf = append(buf, hi)
 			hi++
 		default:
-			return free
+			return buf
 		}
 	}
+	return buf
 }
 
 // place materializes an assignment into fill features: the m features of a
 // column take the free rows nearest the gap's vertical center (the block
-// abstraction of the capacitance model grows symmetrically). Columns built
-// by buildInstance carry their center-out free-row order in
-// ColumnVar.FreeRows; hand-built test instances without it fall back to a
-// fresh occupancy scan. An assignment exceeding a column's free sites
-// indicates a capacity-extraction bug and is reported as an error. rowBuf is
-// a caller-owned scratch slice reused across columns (and calls) for the row
-// sort.
+// abstraction of the capacitance model grows symmetrically), walked lazily
+// per placed column, so a column with no fill never reads the occupancy. An
+// assignment exceeding a column's free sites indicates a capacity-extraction
+// bug and is reported as an error. rowBuf is a caller-owned scratch slice
+// reused across columns (and calls) for the rows and their sort.
 func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[]int) error {
 	for k, m := range a {
 		if m <= 0 {
 			continue
 		}
 		cv := &in.Columns[k]
-		free := cv.FreeRows
-		if free == nil {
-			free = e.freeRowsCenterOut(cv)
-		}
-		if m > len(free) {
-			return fmt.Errorf("core: column %d assignment %d exceeds %d free sites", k, m, len(free))
-		}
-		rows := append((*rowBuf)[:0], free[:m]...)
+		rows := e.appendFreeRows((*rowBuf)[:0], cv, m)
 		*rowBuf = rows
+		if len(rows) < m {
+			return fmt.Errorf("core: column %d assignment %d exceeds %d free sites", k, m, len(rows))
+		}
 		slices.Sort(rows)
 		for _, r := range rows {
 			fs.Fills = append(fs.Fills, layout.Fill{Col: cv.Col.Col, Row: r})

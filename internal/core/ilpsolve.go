@@ -144,32 +144,6 @@ func (nc *NetCap) active() bool {
 // capped reports whether a net carries a positive bound.
 func (nc *NetCap) capped(net int) bool { return net >= 0 && nc.budgetFor(net) > 0 }
 
-// charge adds sign·ΔC(m) times each bounding line's switch-factor-scaled
-// resistance to the spend of the column's capped nets: the raw
-// (un-normalized) per-net delay terms the cap rows encode.
-func (nc *NetCap) charge(spend map[int]float64, cv *ColumnVar, m int, sign float64) {
-	if m <= 0 || cv.DeltaC == nil {
-		return
-	}
-	dc := cv.DeltaC[m] * sign
-	if nc.capped(cv.NetLow) {
-		spend[cv.NetLow] += dc * cv.REffLow
-	}
-	if nc.capped(cv.NetHigh) {
-		spend[cv.NetHigh] += dc * cv.REffHigh
-	}
-}
-
-// netSpend returns every capped net's raw added delay under assignment a, in
-// the scratch's reused spend map.
-func (sc *SolveScratch) netSpend(in *Instance, nc *NetCap, a Assignment) map[int]float64 {
-	spend := sc.spentMap()
-	for k, m := range a {
-		nc.charge(spend, &in.Columns[k], m, 1)
-	}
-	return spend
-}
-
 // ilpiiVars records where a column's variables live in the ILP-II program:
 // either a run of MaxM+1 binary indicators or a single bounded integer for
 // free (unattributed) columns.
@@ -402,41 +376,79 @@ func (sc *SolveScratch) ilpiiIncumbent(in *Instance, netCap *NetCap, a, sweep As
 // when the fill total cannot be restored within the caps (the caller then
 // drops the incumbent).
 func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignment) (repaired, ok bool) {
-	// Per-net spend under the same raw (un-normalized) delay terms the cap
-	// rows encode. The solver checks the normalized rows with a
-	// 1e-6·(1+|RHS|) tolerance, so raw feasibility implies acceptance.
-	spend := sc.netSpend(in, netCap, a)
-	// The set of nets a cap can bind on is fixed by the instance, so it is
-	// collected once (ascending, distinct) instead of rescanning every
-	// column's two bounding nets on each shed pass. Scanning the ascending
-	// list and stopping at the first over-budget entry picks the same
-	// minimum-index over-budget net the per-column scan did.
+	// Dense ids for the nets a cap can bind on, in order of first appearance,
+	// and each column's two side ids (-1 for an uncapped side). Neighboring
+	// columns mostly share their bounding nets, so the lookup scans the
+	// newest ids first.
 	nets := sc.repairNets[:0]
-	for k := range in.Columns {
-		cv := &in.Columns[k]
-		if netCap.capped(cv.NetLow) {
-			nets = appendNetOnce(nets, cv.NetLow)
+	idOf := func(net int) int {
+		if !netCap.capped(net) {
+			return -1
 		}
-		if netCap.capped(cv.NetHigh) {
-			nets = appendNetOnce(nets, cv.NetHigh)
-		}
-	}
-	sc.repairNets = nets
-	overNet := func() int {
-		for _, net := range nets {
-			if spend[net] > netCap.budgetFor(net) {
-				return net
+		for r := len(nets) - 1; r >= 0; r-- {
+			if nets[r] == net {
+				return r
 			}
 		}
-		return -1
+		nets = append(nets, net)
+		return len(nets) - 1
+	}
+	ids := grow(sc.repairIDs, 2*len(in.Columns))
+	sc.repairIDs = ids
+	for k := range in.Columns {
+		cv := &in.Columns[k]
+		ids[2*k], ids[2*k+1] = idOf(cv.NetLow), idOf(cv.NetHigh)
+	}
+	sc.repairNets = nets
+	if len(nets) == 0 {
+		return false, true
+	}
+	// Per-net spend and budget by id. Spend is the same raw (un-normalized)
+	// delay the cap rows encode, accumulated column by column; the solver
+	// checks the normalized rows with a 1e-6·(1+|RHS|) tolerance, so raw
+	// feasibility implies acceptance.
+	spend := growZero(sc.repairSpend, len(nets))
+	budget := grow(sc.repairBudget, len(nets))
+	sc.repairSpend, sc.repairBudget = spend, budget
+	for r, net := range nets {
+		budget[r] = netCap.budgetFor(net)
+	}
+	// charge adds sign·ΔC(m) times each capped side's switch-factor-scaled
+	// resistance to that net's spend.
+	charge := func(k, m int, sign float64) {
+		cv := &in.Columns[k]
+		if m <= 0 || cv.DeltaC == nil {
+			return
+		}
+		dc := cv.DeltaC[m] * sign
+		if r := ids[2*k]; r >= 0 {
+			spend[r] += dc * cv.REffLow
+		}
+		if r := ids[2*k+1]; r >= 0 {
+			spend[r] += dc * cv.REffHigh
+		}
+	}
+	for k, m := range a {
+		charge(k, m, 1)
+	}
+	// overNet returns the id of the lowest-index net over budget, or -1.
+	overNet := func() int {
+		over := -1
+		for r := range nets {
+			if spend[r] > budget[r] && (over < 0 || nets[r] < nets[over]) {
+				over = r
+			}
+		}
+		return over
+	}
+	r := overNet()
+	if r < 0 {
+		return false, true
 	}
 
 	deficit := 0
-	for {
-		net := overNet()
-		if net < 0 {
-			break
-		}
+	for ; r >= 0; r = overNet() {
+		net := nets[r]
 		// Remove the feature whose marginal cost is highest among columns
 		// feeding this net; every contributing column's ΔC is strictly
 		// increasing in m, so each removal strictly lowers the net's spend.
@@ -457,13 +469,10 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 			// unsatisfiable for this incumbent shape; give up.
 			return true, false
 		}
-		netCap.charge(spend, &in.Columns[best], a[best], -1)
+		charge(best, a[best], -1)
 		a[best]--
-		netCap.charge(spend, &in.Columns[best], a[best], 1)
+		charge(best, a[best], 1)
 		deficit++
-	}
-	if deficit == 0 {
-		return false, true
 	}
 	// Refill the deficit cheapest-marginal-first into columns whose next
 	// feature fits under every capped net (free columns cost 0 and touch no
@@ -478,10 +487,10 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 			}
 			if cv.DeltaC != nil {
 				dc := cv.DeltaC[m+1] - cv.DeltaC[m]
-				if netCap.capped(cv.NetLow) && spend[cv.NetLow]+dc*cv.REffLow > netCap.budgetFor(cv.NetLow) {
+				if r := ids[2*k]; r >= 0 && spend[r]+dc*cv.REffLow > budget[r] {
 					continue
 				}
-				if netCap.capped(cv.NetHigh) && spend[cv.NetHigh]+dc*cv.REffHigh > netCap.budgetFor(cv.NetHigh) {
+				if r := ids[2*k+1]; r >= 0 && spend[r]+dc*cv.REffHigh > budget[r] {
 					continue
 				}
 			}
@@ -493,9 +502,9 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 		if best < 0 {
 			return true, false
 		}
-		netCap.charge(spend, &in.Columns[best], a[best], -1)
+		charge(best, a[best], -1)
 		a[best]++
-		netCap.charge(spend, &in.Columns[best], a[best], 1)
+		charge(best, a[best], 1)
 	}
 	return true, true
 }

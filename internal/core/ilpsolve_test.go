@@ -346,8 +346,6 @@ func dualSynthInstance(rng *rand.Rand, nCols int, convex bool) *Instance {
 			}
 			cv.CostExact = cost
 			cv.DeltaC = dc
-			cv.EvalUnweighted = cost
-			cv.EvalWeighted = cost
 			cv.LinearSlope = cost[n-1] / float64(capacity)
 			cv.NetLow = rng.Intn(3)
 			cv.RLow = 1

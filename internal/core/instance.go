@@ -35,23 +35,28 @@ type ColumnVar struct {
 	MaxM int
 
 	// CostExact[m] is the delay-objective cost of placing m features
-	// (r̂·ΔC_exact(m)); index 0 is 0. Nil for columns with no bounding
-	// active line (their fill is free under the paper's model).
+	// (r̂·ΔC_exact(m), r̂ being RHatW under Config.Weighted and RHatU
+	// otherwise); index 0 is 0. Nil for columns with no bounding active line
+	// (their fill is free under the paper's model). The only curve an
+	// instance stores: built instances carve it from one slab per Instances
+	// call.
 	CostExact []float64
 
 	// LinearSlope is the per-feature cost under the Eq 6 linearization,
 	// the coefficient ILP-I optimizes.
 	LinearSlope float64
 
-	// EvalUnweighted[m] / EvalWeighted[m] are the measurement cost curves
-	// (r̂ with W_l = 1 and W_l = downstream sinks respectively), always using
-	// the exact capacitance model. The optimization objective equals one of
-	// these depending on Config.Weighted.
-	EvalUnweighted []float64
-	EvalWeighted   []float64
+	// RHatU / RHatW are r̂ with W_l = 1 and with W_l = downstream sinks: the
+	// measured delay of m features is RHatU·DeltaC[m] unweighted and
+	// RHatW·DeltaC[m] weighted (see Evaluate), always under the exact
+	// capacitance model. Zero for unattributed columns.
+	RHatU, RHatW float64
 
 	// DeltaC[m] is the exact added coupling capacitance of m features
-	// (farads); nil for unattributed columns.
+	// (farads); nil for unattributed columns. Built instances read it
+	// straight from the capacitance table (a view of cap.Table.Deltas, shared
+	// with every column of the same spacing and capacity), so it is
+	// read-only.
 	DeltaC []float64
 
 	// NetLow/NetHigh are the bounding nets (-1 if none) with the upstream
@@ -66,13 +71,6 @@ type ColumnVar struct {
 	// per-net delay caps agree with Evaluate. Equal to RLow/RHigh when
 	// crosstalk-aware costing is off.
 	REffLow, REffHigh float64
-
-	// FreeRows lists the column's free site rows nearest the gap's vertical
-	// center first — the order place consumes them in. Memoized at instance
-	// construction (occupancy never changes between build and placement) so
-	// repeated runs over the same instances skip the per-run occupancy scan;
-	// nil (hand-built test instances) makes place re-scan.
-	FreeRows []int
 }
 
 // costAt returns CostExact[m] handling nil (free) columns.
@@ -133,27 +131,34 @@ func (in *Instance) Cost(a Assignment) float64 {
 }
 
 // Evaluate returns the measured unweighted and weighted delay increases of
-// an assignment under the exact capacitance model. An assignment exceeding a
-// column's measurement curve indicates a capacity-extraction bug and is
-// reported as an error (matching accumulatePerNet) rather than silently
-// clamped, which would under-report the delay impact.
+// an assignment under the exact capacitance model: Σ r̂·ΔC(m) over the
+// columns, in column order. Each product is converted explicitly so the
+// compiler cannot fuse it into the sum as an FMA (which Go permits on some
+// architectures): every term is rounded exactly as a stored curve entry
+// would be. An assignment exceeding a column's capacitance curve indicates a
+// capacity-extraction bug and is reported as an error (matching
+// accumulatePerNet) rather than silently clamped, which would under-report
+// the delay impact.
 func (in *Instance) Evaluate(a Assignment) (unweighted, weighted float64, err error) {
 	for k, m := range a {
 		cv := &in.Columns[k]
-		if m <= 0 || cv.EvalUnweighted == nil {
+		if m <= 0 || cv.DeltaC == nil {
 			continue
 		}
-		if m >= len(cv.EvalUnweighted) {
+		if m >= len(cv.DeltaC) {
 			return 0, 0, fmt.Errorf("core: column %d assignment %d exceeds measurement curve (max %d)",
-				k, m, len(cv.EvalUnweighted)-1)
+				k, m, len(cv.DeltaC)-1)
 		}
-		unweighted += cv.EvalUnweighted[m]
-		weighted += cv.EvalWeighted[m]
+		unweighted += float64(cv.RHatU * cv.DeltaC[m])
+		weighted += float64(cv.RHatW * cv.DeltaC[m])
 	}
 	return unweighted, weighted, nil
 }
 
-// buildInstance assembles the MDFC instance for one tile.
+// buildInstance assembles the MDFC instance for tile (i, j) into in. cols and
+// curves are the tile's exact shares of the Instances slabs, sized by its
+// counting pass: one ColumnVar per column with capacity, and MaxM+1
+// CostExact entries per attributed one, in column order.
 //
 // For a column bounded below by line l and above by line l', inserting m
 // features adds ΔC(m) of coupling capacitance that loads both lines, each at
@@ -161,7 +166,7 @@ func (in *Instance) Evaluate(a Assignment) (unweighted, weighted float64, err er
 // is therefore r̂ = Σ_{bounding lines} W_l·sf_l·R_l(x) (Fig 8, line 11),
 // with W_l = 1 in the non-weighted variant and sf_l the switch factor
 // 1 + activity(opposite line's net) when crosstalk-aware costing is on.
-func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
+func (e *Engine) buildInstance(in *Instance, i, j, want int, cols []ColumnVar, curves []float64) error {
 	tc := &e.Tiles[i][j]
 	analyses := e.Analyses
 	proc := e.Cfg.Proc
@@ -176,9 +181,12 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 		return 1 + e.Cfg.Activity[aggressorNet]
 	}
 
-	in := &Instance{I: i, J: j, Columns: make([]ColumnVar, 0, len(tc.Cols))}
+	*in = Instance{I: i, J: j, Columns: cols[:0]}
 	for k := range tc.Cols {
 		col := &tc.Cols[k]
+		if col.Capacity <= 0 {
+			continue
+		}
 		cv := ColumnVar{Col: col, MaxM: col.Capacity, NetLow: -1, NetHigh: -1}
 		if col.HasLow || col.HasHigh {
 			d := col.Spacing()
@@ -196,7 +204,7 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 				// disagree about this column. Silently clamping here would
 				// under-fill the tile and skew every density and delay
 				// figure downstream — surface the inconsistency instead.
-				return nil, fmt.Errorf(
+				return fmt.Errorf(
 					"core: tile (%d,%d) column %d at x=%d: capacitance table covers %d features but extraction found capacity %d (spacing %d)",
 					i, j, k, col.X, tbl.MaxM(), cv.MaxM, d)
 			}
@@ -224,31 +232,24 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 				rhatU += cv.REffHigh
 				rhatW += cv.REffHigh * float64(w)
 			}
-			// One slab per column; the full slice expressions keep an append
-			// to one curve from running into the next.
-			n := cv.MaxM + 1
-			slab := make([]float64, 3*n)
-			cv.DeltaC = slab[:n:n]
-			cv.EvalUnweighted = slab[n : 2*n : 2*n]
-			cv.EvalWeighted = slab[2*n:]
-			for m := 1; m < n; m++ {
-				dc := tbl.Delta(m)
-				cv.DeltaC[m] = dc
-				cv.EvalUnweighted[m] = rhatU * dc
-				cv.EvalWeighted[m] = rhatW * dc
-			}
+			cv.RHatU, cv.RHatW = rhatU, rhatW
+			rhat := rhatU
 			if weighted {
-				cv.CostExact = cv.EvalWeighted
-				cv.LinearSlope = rhatW * proc.DeltaLinear(1, rule.Feature, d)
-			} else {
-				cv.CostExact = cv.EvalUnweighted
-				cv.LinearSlope = rhatU * proc.DeltaLinear(1, rule.Feature, d)
+				rhat = rhatW
 			}
+			// Entry 0 of every table is exactly 0 (DeltaExact(0) and the
+			// grounded table's untouched first entry), and Delta(m) is
+			// Deltas[m] in range, so the view holds the bits a copy would.
+			n := cv.MaxM + 1
+			cv.DeltaC = tbl.Deltas[:n:n]
+			cv.CostExact = curves[:n:n]
+			curves = curves[n:]
+			for m := 1; m < n; m++ {
+				cv.CostExact[m] = rhat * cv.DeltaC[m]
+			}
+			cv.LinearSlope = rhat * proc.DeltaLinear(1, rule.Feature, d)
 		}
-		if cv.MaxM > 0 {
-			cv.FreeRows = e.freeRowsCenterOut(&cv)
-			in.Columns = append(in.Columns, cv)
-		}
+		in.Columns = append(in.Columns, cv)
 	}
 	capTotal := in.TotalCapacity()
 	if want > capTotal {
@@ -258,5 +259,5 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 		want = 0
 	}
 	in.F = want
-	return in, nil
+	return nil
 }

@@ -35,18 +35,18 @@ func fpKey(t *testing.T, in *Instance, method Method) memoKey {
 func TestFingerprintTranslationInvariant(t *testing.T) {
 	// Two copies of the same tile pattern at different positions, with
 	// different absolute net indices (same relative order) and different
-	// free-row lists, must hash identically: position is exactly what the
-	// memo abstracts away.
+	// site columns and rows, must hash identically: position is exactly what
+	// the memo abstracts away.
 	a := &Instance{I: 0, J: 0, F: 3, Columns: []ColumnVar{
 		fpColumn(3, 2, 5, 100, 200, 1.5),
 		fpColumn(2, 5, -1, 200, 0, 0.5),
 	}}
-	a.Columns[0].FreeRows = []int{4, 5, 3}
+	a.Columns[0].Col = &scanline.Column{Col: 4, RowLo: 3, RowHi: 6}
 	b := &Instance{I: 7, J: 11, F: 3, Columns: []ColumnVar{
 		fpColumn(3, 12, 15, 100, 200, 1.5),
 		fpColumn(2, 15, -1, 200, 0, 0.5),
 	}}
-	b.Columns[0].FreeRows = []int{90, 91, 89}
+	b.Columns[0].Col = &scanline.Column{Col: 90, RowLo: 89, RowHi: 92}
 	if fpKey(t, a, ILPII) != fpKey(t, b, ILPII) {
 		t.Error("translated pattern copies hash differently")
 	}
@@ -176,16 +176,7 @@ func TestMemoKeyedOnNetCap(t *testing.T) {
 		return eng
 	}
 	const tiles = 3
-	var instances []*Instance
-	for i := 0; i < tiles; i++ {
-		in := repairInstance()
-		in.I = i
-		for k := range in.Columns {
-			in.Columns[k].Col = &scanline.Column{Col: k}
-			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
-		}
-		instances = append(instances, in)
-	}
+	instances := placeableRepairTiles(tiles)
 	capped := newEng(2e-15)
 	cold, err := capped.Run(ILPII, instances)
 	if err != nil {

@@ -182,16 +182,7 @@ func TestWarmRunAllocs(t *testing.T) {
 	// above the hull bound, fall back to branch-and-bound.
 	eng.Cfg.NetCap = 2e-15
 	eng.memo = nil
-	capped := slices.Clone(instances)
-	for i := 0; i < 3; i++ {
-		in := repairInstance()
-		in.I = i
-		for k := range in.Columns {
-			in.Columns[k].Col = &scanline.Column{Col: k}
-			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
-		}
-		capped = append(capped, in)
-	}
+	capped := append(slices.Clone(instances), placeableRepairTiles(3)...)
 	certified, branched := 0, 0
 	sc := NewSolveScratch()
 	for _, in := range capped {

@@ -273,16 +273,7 @@ func TestRunCountsRepairedIncumbents(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tiles = 3
-	var instances []*Instance
-	for i := 0; i < tiles; i++ {
-		in := repairInstance()
-		in.I = i
-		for k := range in.Columns {
-			in.Columns[k].Col = &scanline.Column{Col: k}
-			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
-		}
-		instances = append(instances, in)
-	}
+	instances := placeableRepairTiles(tiles)
 	cold, err := eng.Run(ILPII, instances)
 	if err != nil {
 		t.Fatal(err)
@@ -308,15 +299,16 @@ func TestRunCountsRepairedIncumbents(t *testing.T) {
 }
 
 // placeableRepairTiles returns n copies of repairInstance carrying the
-// column and free-row data Run needs to place them.
+// column geometry Run needs to place them: column k spans site rows 0–3 of
+// grid column k, free in smallLayout, with the gap center below row 0, so
+// place takes the rows bottom-up.
 func placeableRepairTiles(n int) []*Instance {
 	var instances []*Instance
 	for i := 0; i < n; i++ {
 		in := repairInstance()
 		in.I = i
 		for k := range in.Columns {
-			in.Columns[k].Col = &scanline.Column{Col: k}
-			in.Columns[k].FreeRows = []int{0, 1, 2, 3}
+			in.Columns[k].Col = &scanline.Column{Col: k, RowHi: 4}
 		}
 		instances = append(instances, in)
 	}

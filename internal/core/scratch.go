@@ -42,12 +42,17 @@ type SolveScratch struct {
 	hullA    Assignment // hullSweep's convexified-optimum assignment
 
 	// Heuristic-solver buffers.
-	keys       []costKey
-	mheap      marginalHeap
-	slots      []int
-	spent      map[int]float64
-	repairNets []int      // repairIncumbent's distinct capped-net list
-	rng        *rand.Rand // Normal's sampler, created on first use
+	keys  []costKey
+	mheap marginalHeap
+	slots []int
+	spent map[int]float64
+	// repairIncumbent's capped nets by dense id, per-id spend and budget,
+	// and per-column side ids.
+	repairNets   []int
+	repairSpend  []float64
+	repairBudget []float64
+	repairIDs    []int
+	rng          *rand.Rand // Normal's sampler, created on first use
 
 	// DP buffers.
 	dpA, dpB    []float64
