@@ -48,7 +48,8 @@ race:
 
 # Run each fuzzer for FUZZTIME past its seed corpus: the DEF parser and
 # tokenizer (against the strings.Fields oracle), the LEF parser, the GDSII
-# reader, the pilfilld submit decoder and the cluster's region-payload merge.
+# reader, the pilfilld submit decoder, the cluster's region-payload merge and
+# write-ahead-log replay (open, append, reopen).
 # go test fuzzes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/gds
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeRegions$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime $(FUZZTIME) ./internal/jobqueue
 
 # Cluster bit-identity smoke test under the race detector: in-process
 # multi-worker scatter/gather (including the kill-a-worker fault path) must

@@ -79,10 +79,7 @@ func TestSolversSatisfyFillConstraint(t *testing.T) {
 			"greedy":   func() (Assignment, error) { return SolveGreedy(in), nil },
 			"marginal": func() (Assignment, error) { return SolveMarginalGreedy(in), nil },
 			"dp":       func() (Assignment, error) { return SolveDP(in) },
-			"ilp1": func() (Assignment, error) {
-				a, _, err := SolveILPI(in, nil)
-				return a, err
-			},
+			"ilp1":     func() (Assignment, error) { return SolveILPI(in) },
 			"ilp2": func() (Assignment, error) {
 				a, _, err := SolveILPII(in, nil, nil)
 				return a, err
@@ -169,7 +166,7 @@ func TestILPIOptimizesLinearSurrogate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		in := synthInstance(rng, 2+rng.Intn(6))
-		a, _, err := SolveILPI(in, nil)
+		a, err := SolveILPI(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +258,7 @@ func TestEmptyInstance(t *testing.T) {
 	if a, _, err := SolveILPII(in, nil, nil); err != nil || len(a) != 0 {
 		t.Errorf("ILP-II on empty instance: %v %v", a, err)
 	}
-	if a, _, err := SolveILPI(in, nil); err != nil || len(a) != 0 {
+	if a, err := SolveILPI(in); err != nil || len(a) != 0 {
 		t.Errorf("ILP-I on empty instance: %v %v", a, err)
 	}
 }

@@ -62,8 +62,10 @@ type Config struct {
 	Def      scanline.Def // slack-column definition (0 = DefIII)
 	Weighted bool         // optimize the sink-weighted objective
 	Proc     cap.Process  // electrical model (zero value = cap.Default130)
-	ILPOpts  ilp.Options  // branch-and-bound limits
 	Seed     int64        // randomness for the Normal baseline
+	// ILPNodeLimit bounds the branch-and-bound nodes of each ILP-II tile
+	// that fails its hull certificate; 0 means ilp.DefaultMaxNodes.
+	ILPNodeLimit int
 	// NetCap bounds each net's added delay per tile for the capped methods,
 	// in seconds (interconnect deltas are femtoseconds, far below what
 	// time.Duration can represent). 0 disables the bound. GreedyCapped and
@@ -484,8 +486,8 @@ type Result struct {
 	Wall     time.Duration
 	Phases   PhaseTimes // preprocess/solve/evaluate/place breakdown
 	Tiles    int        // instances solved
-	ILPNodes int        // total branch-and-bound nodes (ILP methods)
-	LPPivots int        // total simplex pivots across all node LPs (ILP methods)
+	ILPNodes int        // total branch-and-bound nodes (ILP-II)
+	LPPivots int        // total simplex pivots across all node LPs (ILP-II)
 	// MemoHits/MemoMisses count tile solves served from (or stored into) the
 	// solve memo this run. With concurrent workers two tiles of the same
 	// pattern may race past the lookup and both solve, so the split between
@@ -526,11 +528,11 @@ type solveStats struct {
 	incRepaired, incDropped bool
 }
 
-// ilpOpts copies the configured branch-and-bound limits and, when the
-// context is cancellable, adds a per-node cancellation poll so an in-flight
-// ILP solve stops promptly instead of running to its node limit.
+// ilpOpts returns the configured branch-and-bound node limit and, when the
+// context is cancellable, a per-node cancellation poll so an in-flight
+// ILP-II search stops promptly instead of running to its node limit.
 func (e *Engine) ilpOpts(ctx context.Context) *ilp.Options {
-	opts := e.Cfg.ILPOpts
+	opts := ilp.Options{MaxNodes: e.Cfg.ILPNodeLimit}
 	if ctx.Done() != nil {
 		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
@@ -583,8 +585,8 @@ func (e *Engine) normalSeed(in *Instance) int64 {
 // Cancel closure) and nc the run-wide net cap; both are read-only here. The
 // Normal baseline derives its randomness from (Seed, I, J) so tiles can be
 // solved in any order — or concurrently — with identical results. A
-// cancelled context surfaces as the context's error; for the ILP methods
-// the branch-and-bound search itself is interrupted mid-tile. Under an
+// cancelled context surfaces as the context's error; for ILP-II the
+// branch-and-bound search itself is interrupted mid-tile. Under an
 // active cap, an ILP-II tile with no Σm = F assignment within the caps (or
 // whose search ends at the node limit without one) places what fits with
 // the capped greedy instead, like GreedyCapped; cancellation is checked
@@ -595,9 +597,6 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	// The per-tile B&B options (and the progress hook) are built only for
-	// tiles that reach the searcher.
-	bnbOpts := func() *ilp.Options { return e.tileOpts(ctx, sc, base, in, lane, span) }
 	var err error
 	switch method {
 	case Normal:
@@ -619,12 +618,11 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 	case DP:
 		return st, sc.solveDP(ctx, a, in)
 	case ILPI:
-		var sol *ilp.Solution
-		sol, err = sc.solveILPI(in, bnbOpts(), a)
-		if sol != nil {
-			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-		}
+		err = sc.solveILPI(a, in)
 	case ILPII:
+		// The per-tile B&B options (and the progress hook) are built only
+		// for tiles that reach the searcher.
+		bnbOpts := func() *ilp.Options { return e.tileOpts(ctx, sc, base, in, lane, span) }
 		_, st, err = sc.solveILPII(ctx, in, nc, a, bnbOpts)
 	default:
 		return st, fmt.Errorf("core: unknown method %v", method)
@@ -657,7 +655,7 @@ func (e *Engine) Run(method Method, instances []*Instance) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the context is checked at every tile
-// boundary (and, for the ILP methods, per branch-and-bound node), so a
+// boundary (and, for ILP-II, per branch-and-bound node), so a
 // cancelled or deadline-expired context stops the remaining solver work and
 // returns an error wrapping ctx.Err(). A partially solved run yields no
 // partial Result. Under Config.NetCap the capped methods may place fewer
@@ -698,7 +696,8 @@ func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, 
 	outs := make([]outcome, len(instances))
 
 	memo := e.memo
-	if memo != nil && !memoizable(method, &e.Cfg.ILPOpts) {
+	if method == Normal {
+		// Normal's randomness is position-seeded (see memo.go).
 		memo = nil
 	}
 	workers := workerCount(e.Cfg.Workers, len(instances))

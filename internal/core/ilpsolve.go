@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -33,84 +34,23 @@ func normalize(v []float64, rhs *float64) {
 	}
 }
 
-// BuildILPI constructs the ILP-I program for an instance together with a
-// feasible integer incumbent used to warm-start branch-and-bound. The
-// incumbent pours fill into columns in ascending per-feature cost order —
-// for ILP-I's linear objective with a single Σ m_k = F row and box bounds
-// this is in fact optimal, so the seeded search typically proves optimality
-// at the root node. Returns nils for trivial (empty) instances.
-func BuildILPI(in *Instance) (*ilp.Problem, []float64) {
-	return NewSolveScratch().buildILPI(in)
-}
-
-// buildILPI is BuildILPI sourcing every slice from the scratch.
-func (sc *SolveScratch) buildILPI(in *Instance) (*ilp.Problem, []float64) {
-	k := len(in.Columns)
-	if k == 0 || in.F == 0 {
-		return nil, nil
-	}
-	p := sc.problem(k)
-	sum := sc.newRow(k)
-	for i := range in.Columns {
-		p.Objective[i] = in.Columns[i].LinearSlope
-		p.VarTypes[i] = ilp.Integer
-		p.Upper[i] = float64(in.Columns[i].MaxM)
-		sum[i] = 1
-	}
-	normalize(p.Objective, nil)
-	sc.cons = append(sc.cons[:0], lp.Constraint{Coeffs: sum, Op: lp.EQ, RHS: float64(in.F)})
-	p.Constraints = sc.cons
-
-	// Incumbent: cheapest-slope-first greedy (normalization preserves the
-	// order). Index tie-break keeps it deterministic; the (objective, index)
-	// key is a total order, so any sort yields the same permutation.
-	sc.keys = grow(sc.keys, k)
-	keys := sc.keys
-	for i := range keys {
-		keys[i] = costKey{k: i, key: p.Objective[i]}
-	}
-	sortCostKeys(keys)
-	sc.inc = growZero(sc.inc, k)
-	inc := sc.inc
-	remaining := in.F
-	for _, kd := range keys {
-		if remaining == 0 {
-			break
-		}
-		take := in.Columns[kd.k].MaxM
-		if take > remaining {
-			take = remaining
-		}
-		inc[kd.k] = float64(take)
-		remaining -= take
-	}
-	return p, inc
-}
-
 // SolveILPI is the paper's ILP-I (Eqs 10–14): one bounded integer variable
 // m_k per slack column, the Eq 6 *linearized* capacitance folded into a
 // per-feature cost, and the fill total as an equality. The linearization is
-// exactly the method's weakness the paper demonstrates: the solver optimizes
-// the linear surrogate, and the resulting placement is then measured with
+// exactly the method's weakness the paper demonstrates: ILP-I optimizes the
+// linear surrogate, and the resulting placement is then measured with
 // the exact model (sometimes losing even to Normal fill).
-func SolveILPI(in *Instance, opts *ilp.Options) (Assignment, *ilp.Solution, error) {
-	sc := NewSolveScratch()
+//
+// With a linear objective, one Σm = F row and box bounds, the program is a
+// continuous knapsack whose optimum is the ascending-slope pour, integral
+// because F and every bound are integers; so ILP-I is that pour, and no
+// program is built or searched.
+func SolveILPI(in *Instance) (Assignment, error) {
 	a := make(Assignment, len(in.Columns))
-	sol, err := sc.solveILPI(in, sc.withOpts(opts), a)
-	return oneOff(a, sol, err)
-}
-
-// oneOff shapes a fresh-scratch solve's outputs for the exported wrappers:
-// no assignment on error, and an Optimal solution for trivial (empty)
-// instances, which never reach the searcher.
-func oneOff(a Assignment, sol *ilp.Solution, err error) (Assignment, *ilp.Solution, error) {
-	if err != nil {
-		return nil, sol, err
+	if err := NewSolveScratch().solveILPI(a, in); err != nil {
+		return nil, err
 	}
-	if sol == nil {
-		sol = &ilp.Solution{Status: ilp.Optimal}
-	}
-	return a, sol, nil
+	return a, nil
 }
 
 // NetCap is the optional per-net bound on added (unweighted) delay within a
@@ -518,35 +458,40 @@ func SolveILPII(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *i
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
 	sol, _, err := sc.solveILPII(context.Background(), in, netCap, a, func() *ilp.Options { return sc.withOpts(opts) })
-	return oneOff(a, sol, err)
+	if err != nil {
+		return nil, sol, err
+	}
+	if sol == nil {
+		// A trivial or certified tile never reaches the searcher.
+		sol = &ilp.Solution{Status: ilp.Optimal}
+	}
+	return a, sol, nil
 }
 
-// solveILPI solves ILP-I on the scratch's searcher, writing the assignment
-// into a (zeroed, length == columns). opts is mutated (Incumbent/WarmStart)
-// — it is the scratch's per-tile options copy. The returned solution is
-// searcher-owned, nil for a trivial instance or a solver error.
-func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment) (*ilp.Solution, error) {
-	p, inc := sc.buildILPI(in)
-	if p == nil {
-		return nil, nil
+// solveILPI is SolveILPI writing into a zeroed Assignment. The keys are
+// the slopes scaled by normalize, the ILP-I program's objective: scaling
+// can merge two slopes into a tie, which the column index then breaks, so
+// the order is that program's own. The only error is a fill total above
+// the columns' capacity, which buildInstance's clamp rules out.
+func (sc *SolveScratch) solveILPI(a Assignment, in *Instance) error {
+	k := len(in.Columns)
+	if k == 0 {
+		return nil
 	}
-	// The solver validates the incumbent itself, so the heuristic one is
-	// passed without re-checking.
-	opts.Incumbent = inc
-	// The greedy incumbent IS the relaxation's optimal vertex for ILP-I's
-	// linear objective, so warm-starting the node LPs from it pays off.
-	opts.WarmStart = true
-	sol, err := sc.searcher.Solve(p, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: ILP-I: %w", err)
+	sc.obj = grow(sc.obj, k)
+	for i := range in.Columns {
+		sc.obj[i] = in.Columns[i].LinearSlope
 	}
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return sol, fmt.Errorf("core: ILP-I: solver returned %v", sol.Status)
+	normalize(sc.obj, nil)
+	sc.keys = grow(sc.keys, k)
+	for i, x := range sc.obj {
+		sc.keys[i] = costKey{k: i, key: x}
 	}
-	for i := range a {
-		a[i] = int(sol.X[i] + 0.5)
+	sortCostKeys(sc.keys)
+	if pour(a, in, sc.keys) > 0 {
+		return errors.New("core: ILP-I: solver returned infeasible")
 	}
-	return sol, nil
+	return nil
 }
 
 // solveILPII solves ILP-II on the scratch, writing the assignment into a

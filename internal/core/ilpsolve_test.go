@@ -14,6 +14,7 @@ import (
 	"pilfill/internal/geom"
 	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
+	"pilfill/internal/lp"
 	"pilfill/internal/scanline"
 	"pilfill/internal/testcases"
 )
@@ -485,47 +486,107 @@ func requireSameOptimum(t *testing.T, label string, in *Instance, got, want *ilp
 	}
 }
 
+// ilpIProgram is the paper's ILP-I program (Eqs 10–14) for an instance:
+// one bounded integer per column, the normalized linear slopes as the
+// objective and Σm = F as the only row; nil for a trivial instance.
+// SolveILPI builds no program, so this is its oracle.
+func ilpIProgram(in *Instance) *ilp.Problem {
+	k := len(in.Columns)
+	if k == 0 || in.F == 0 {
+		return nil
+	}
+	p := &ilp.Problem{NumVars: k, Objective: make([]float64, k),
+		VarTypes: make([]ilp.VarType, k), Upper: make([]float64, k)}
+	sum := make([]float64, k)
+	for i := range in.Columns {
+		p.Objective[i] = in.Columns[i].LinearSlope
+		p.VarTypes[i] = ilp.Integer
+		p.Upper[i] = float64(in.Columns[i].MaxM)
+		sum[i] = 1
+	}
+	normalize(p.Objective, nil)
+	p.Constraints = []lp.Constraint{{Coeffs: sum, Op: lp.EQ, RHS: float64(in.F)}}
+	return p
+}
+
+// requireILPIIsOptimal solves a tile's ILP-I program unseeded with the
+// branch-and-bound searcher and with the row-based reference, requires the
+// two to agree, and holds SolveILPI to their optimum: an infeasible program
+// must make it fail, and on a proven optimum its normalized linear
+// objective must be within the searcher's 1e-9 root-prune threshold. It
+// returns SolveILPI's assignment and whether an optimum was proven.
+func requireILPIIsOptimal(t *testing.T, label string, in *Instance, opts *ilp.Options) (Assignment, bool) {
+	t.Helper()
+	p := ilpIProgram(in)
+	sol, err := ilp.Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ilp.SolveRowBased(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameOptimum(t, label+" ILP-I", in, sol, ref)
+	a, err := SolveILPI(in)
+	if sol.Status == ilp.Infeasible {
+		if err == nil || err.Error() != "core: ILP-I: solver returned infeasible" {
+			t.Fatalf("%s tile (%d,%d): infeasible ILP-I program, SolveILPI err %v", label, in.I, in.J, err)
+		}
+		return nil, false
+	}
+	if err != nil {
+		t.Fatalf("%s tile (%d,%d): %v", label, in.I, in.J, err)
+	}
+	if err := in.Valid(a); err != nil {
+		t.Fatalf("%s tile (%d,%d): %v", label, in.I, in.J, err)
+	}
+	if sol.Status != ilp.Optimal {
+		return a, false
+	}
+	got := 0.0
+	for k, m := range a {
+		got += p.Objective[k] * float64(m)
+	}
+	if math.Abs(got-sol.Objective) > 1e-9 {
+		t.Fatalf("%s tile (%d,%d): slope pour objective %.17g, B&B optimum %.17g", label, in.I, in.J, got, sol.Objective)
+	}
+	return a, true
+}
+
 // TestTableTilesMatchReferenceSolvers holds every real T1/20/8 tile to
-// three independent references:
-//   - the seeded branch-and-bound (ILP-I warm-started from its greedy
-//     incumbent, ILP-II seeded with marginal greedy) reaches the same status
-//     and objective as the row-based reference solver on both programs;
+// independent references:
+//   - the unseeded branch-and-bound reaches the same status and objective
+//     as the row-based reference solver on the ILP-I program, and
+//     SolveILPI's slope pour matches that optimum within the root-prune
+//     threshold;
+//   - the seeded branch-and-bound (ILP-II seeded with marginal greedy)
+//     agrees with the row-based reference on the ILP-II program;
 //   - SolveILPII's (hull-certified) cost equals the decoded branch-and-bound
 //     ILP-II optimum bitwise;
-//   - SolveILPII on the linearized tile equals the ILP-I optimum bitwise.
+//   - SolveILPII on the linearized tile equals SolveILPI's cost bitwise.
 func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 	_, instances := t1Tiles(t)
 	opts := ilp.Options{MaxNodes: 20000}
 	compared := 0
 	for _, in := range instances {
-		p, inc := BuildILPI(in)
-		if p == nil {
+		if len(in.Columns) == 0 || in.F == 0 {
 			continue // nothing to place: every path returns the zero assignment
 		}
-		o := opts
-		o.Incumbent, o.WarmStart = inc, true
-		solI, err := ilp.Solve(p, &o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := ilp.SolveRowBased(p, &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameOptimum(t, "ILP-I", in, solI, ref)
+		aI, okI := requireILPIIsOptimal(t, "T1/20/8", in, &opts)
 
 		g := BuildILPII(in, nil)
-		o = opts
+		o := opts
 		o.Incumbent = g.Incumbent
 		solII, err := ilp.Solve(g.P, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref, err = ilp.SolveRowBased(g.P, &opts); err != nil {
+		ref, err := ilp.SolveRowBased(g.P, &opts)
+		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameOptimum(t, "ILP-II", in, solII, ref)
-		if solI.Status != ilp.Optimal || solII.Status != ilp.Optimal {
+		if !okI || solII.Status != ilp.Optimal {
 			continue // a node-limited solve pins no optimum
 		}
 
@@ -541,18 +602,39 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aI := make(Assignment, len(in.Columns))
-		for k := range aI {
-			aI[k] = int(solI.X[k] + 0.5)
-		}
 		if got, want := canonCost(lin, aLin), canonCost(lin, aI); got != want {
-			t.Fatalf("tile (%d,%d): linearized ILP-II cost %g != ILP-I optimum %g", in.I, in.J, got, want)
+			t.Fatalf("tile (%d,%d): linearized ILP-II cost %g != ILP-I cost %g", in.I, in.J, got, want)
 		}
 		compared++
 	}
 	t.Logf("%d of %d tiles compared to proven optima", compared, len(instances))
 	if compared < len(instances)/2 {
 		t.Fatalf("only %d of %d tiles reached a proven optimum on both programs", compared, len(instances))
+	}
+
+	// Synthetic tiles: equal slopes and zero slopes (free columns) tie, and
+	// the column index breaks every tie; a fill total above the columns'
+	// capacity has no assignment.
+	col := func(maxM int, slope float64) ColumnVar {
+		return ColumnVar{MaxM: maxM, LinearSlope: slope, NetLow: -1, NetHigh: -1}
+	}
+	for _, tc := range []struct {
+		name string
+		in   *Instance
+		want Assignment // nil: infeasible
+	}{
+		{"equal slopes", &Instance{F: 5, Columns: []ColumnVar{col(3, 2e-16), col(2, 1e-16), col(2, 1e-16), col(3, 1e-16)}},
+			Assignment{0, 2, 2, 1}},
+		{"zero slopes", &Instance{F: 4, Columns: []ColumnVar{col(2, 3e-16), col(1, 0), col(2, 1e-16), col(2, 0)}},
+			Assignment{0, 1, 1, 2}},
+		{"all zero", &Instance{F: 3, Columns: []ColumnVar{col(2, 0), col(2, 0)}},
+			Assignment{2, 1}},
+		{"shortfall", &Instance{F: 6, Columns: []ColumnVar{col(2, 1e-16), col(3, 0)}}, nil},
+	} {
+		a, _ := requireILPIIsOptimal(t, tc.name, tc.in, &opts)
+		if !slices.Equal(a, tc.want) {
+			t.Errorf("%s: SolveILPI %v, want %v", tc.name, a, tc.want)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"pilfill/internal/ilp"
 )
 
 // Real layouts have millions of tiles but only a handful of distinct tile
@@ -28,8 +26,7 @@ import (
 //
 // The Normal baseline is excluded: its randomness is seeded from (Seed, I, J)
 // — deliberately position-dependent — so translated copies of a pattern
-// legitimately differ. Runs with an ILP wall-clock Timeout are also excluded,
-// since their results are not a pure function of the instance.
+// legitimately differ.
 
 // memoKey is the 256-bit content hash of one tile pattern.
 type memoKey [sha256.Size]byte
@@ -154,13 +151,6 @@ func (c *SolveMemo) Reset() {
 	c.stored.Store(0)
 }
 
-// memoizable reports whether a method's tile solves may be served from the
-// memo under the given options (see the package comment above for why Normal
-// and timed-out searches are excluded).
-func memoizable(method Method, opts *ilp.Options) bool {
-	return method != Normal && opts.Timeout == 0
-}
-
 // fingerprintConfig is the slice of Engine.Config the fingerprint must cover
 // beyond the instance itself: knobs that change solver behavior but are not
 // baked into the cost curves. Process, feature width, grounded-vs-floating
@@ -169,24 +159,23 @@ func memoizable(method Method, opts *ilp.Options) bool {
 type fingerprintConfig struct {
 	method   Method
 	nc       *NetCap // the run's per-net cap (GreedyCapped and ILP-II cap rows)
-	maxNodes int     // ILPOpts.MaxNodes (limits change Feasible-vs-Optimal outcomes)
-	intTol   float64 // ILPOpts.IntTol (changes incumbent acceptance)
+	maxNodes int     // ILPNodeLimit (limits change Feasible-vs-Optimal outcomes)
 }
 
 func (e *Engine) fingerprintConfig(method Method, nc *NetCap) fingerprintConfig {
 	return fingerprintConfig{
 		method:   method,
 		nc:       nc,
-		maxNodes: e.Cfg.ILPOpts.MaxNodes,
-		intTol:   e.Cfg.ILPOpts.IntTol,
+		maxNodes: e.Cfg.ILPNodeLimit,
 	}
 }
 
 // fpVersion guards against stale entries if the serialization ever changes
 // within a process's lifetime (it cannot today; the byte is cheap insurance).
 // v2: a gap-tolerance field joined the config prefix; v3: it left again;
-// v4: the scalar net cap became each bounding net's cap.
-const fpVersion = 4
+// v4: the scalar net cap became each bounding net's cap; v5: the
+// integrality tolerance left the config prefix.
+const fpVersion = 5
 
 func fpPutU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
@@ -217,7 +206,6 @@ func fingerprintInstance(buf []byte, netScratch []int, in *Instance, fc fingerpr
 	buf = buf[:0]
 	buf = append(buf, fpVersion, byte(fc.method))
 	buf = fpPutInt(buf, fc.maxNodes)
-	buf = fpPutF64(buf, fc.intTol)
 	buf = fpPutInt(buf, in.F)
 	buf = fpPutInt(buf, len(in.Columns))
 

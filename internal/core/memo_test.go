@@ -246,6 +246,30 @@ func TestMemoKeyedOnNetCap(t *testing.T) {
 	}
 }
 
+// TestMemoKeyedOnNodeLimit: the node limit can turn a search's Optimal
+// into Feasible, so it is part of the fingerprint. Two engines that differ
+// only in ILPNodeLimit share one memo, and each misses cold (once: the three
+// tiles are copies of one pattern) rather than replay the other's entry.
+func TestMemoKeyedOnNodeLimit(t *testing.T) {
+	l, d := smallLayout(t)
+	memo := NewSolveMemo()
+	const tiles = 3
+	instances := placeableRepairTiles(tiles)
+	for _, limit := range []int{0, 50} {
+		eng, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42, ILPNodeLimit: limit, Memo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := eng.Run(ILPII, instances)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.MemoMisses != 1 || r.MemoHits != tiles-1 {
+			t.Errorf("ILPNodeLimit %d cold: %d misses %d hits, want 1 miss", limit, r.MemoMisses, r.MemoHits)
+		}
+	}
+}
+
 func TestMemoOnOffBitIdentical(t *testing.T) {
 	l, d := smallLayout(t)
 	newEng := func(cfg Config) *Engine {

@@ -77,9 +77,9 @@ func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Ins
 		case DP:
 			a, err = SolveDP(in)
 		case ILPI:
-			a, sol, err = SolveILPI(in, &eng.Cfg.ILPOpts)
+			a, err = SolveILPI(in)
 		case ILPII:
-			a, sol, err = SolveILPII(in, &eng.Cfg.ILPOpts, nc)
+			a, sol, err = SolveILPII(in, &ilp.Options{MaxNodes: eng.Cfg.ILPNodeLimit}, nc)
 		}
 		if err != nil {
 			t.Fatalf("%v tile (%d,%d): %v", m, in.I, in.J, err)

@@ -329,7 +329,7 @@ func TestRunILPIIUnderPlacesInfeasibleCappedTile(t *testing.T) {
 	instances := placeableRepairTiles(1)
 	in := instances[0]
 	nc := &NetCap{MaxAddedDelay: netCap}
-	if _, _, err := SolveILPII(in, &eng.Cfg.ILPOpts, nc); err == nil {
+	if _, _, err := SolveILPII(in, nil, nc); err == nil {
 		t.Fatal("ILP-II found a full assignment within the caps; the tile is not infeasible")
 	}
 	want := make(Assignment, len(in.Columns))

@@ -10,7 +10,7 @@ import (
 
 // SolveScratch owns every reusable buffer of one worker's tile-solve path:
 // the branch-and-bound searcher (which in turn owns its lp.Workspace), the
-// ILP-I/ILP-II problem-builder buffers, and the per-method solver scratch
+// ILP-II problem-builder buffers, and the per-method solver scratch
 // (greedy sort keys, marginal heap, Normal's sampler and rng, DP tables).
 // After a few tiles the buffers reach the instance family's high-water mark
 // and the steady-state solve path stops allocating.
@@ -21,13 +21,13 @@ import (
 // incumbents, solutions) is overwritten by the next tile solved on it.
 //
 // The scratch methods are the only tile-solve implementation: the exported
-// BuildILPI/BuildILPII/Solve* functions run them on a fresh scratch, so a
+// BuildILPII/Solve* functions run them on a fresh scratch, so a
 // one-off solve and a warm engine run execute the same code.
 type SolveScratch struct {
 	searcher ilp.Searcher
 	opts     ilp.Options // per-tile options copy (Incumbent/Progress wiring)
 
-	// ILP problem-builder buffers.
+	// ILP-II problem-builder buffers (obj also holds ILP-I's scaled slopes).
 	prob     ilp.Problem
 	prog     ILPIIProgram
 	obj      []float64

@@ -87,8 +87,15 @@ func SolveGreedy(in *Instance) Assignment {
 // the scratch's key buffer.
 func (sc *SolveScratch) solveGreedy(a Assignment, in *Instance) {
 	sc.keys = wholeColumnKeys(sc.keys, in)
+	pour(a, in, sc.keys)
+}
+
+// pour fills whole columns into a (zeroed) in key order until in.F
+// features are placed, the last column taking only the remainder. It
+// returns the shortfall, non-zero only when the columns hold fewer than F.
+func pour(a Assignment, in *Instance, keys []costKey) (shortfall int) {
 	remaining := in.F
-	for _, kd := range sc.keys {
+	for _, kd := range keys {
 		if remaining == 0 {
 			break
 		}
@@ -99,6 +106,7 @@ func (sc *SolveScratch) solveGreedy(a Assignment, in *Instance) {
 		a[kd.k] = take
 		remaining -= take
 	}
+	return remaining
 }
 
 // solveGreedyCapped runs the Fig 8 greedy with the footnote's safeguard: an

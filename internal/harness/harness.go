@@ -14,7 +14,6 @@ import (
 	"pilfill/internal/core"
 	"pilfill/internal/density"
 	"pilfill/internal/geom"
-	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
 	"pilfill/internal/rc"
@@ -40,7 +39,7 @@ type Cell struct {
 	CPU  time.Duration
 	Wall time.Duration
 	// Nodes and Pivots count branch-and-bound nodes and simplex pivots for
-	// the ILP methods (zero for the others).
+	// ILP-II (zero for the others).
 	Nodes  int
 	Pivots int
 }
@@ -116,12 +115,12 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 		return nil, err
 	}
 	eng, err := core.NewEngine(l, dis, rule, core.Config{
-		Weighted: weighted,
-		Seed:     1,
-		ILPOpts:  ilp.Options{MaxNodes: 20000},
-		Trace:    ob.Trace,
-		Logger:   ob.Logger,
-		SlowTile: ob.SlowTile,
+		Weighted:     weighted,
+		Seed:         1,
+		ILPNodeLimit: 20000,
+		Trace:        ob.Trace,
+		Logger:       ob.Logger,
+		SlowTile:     ob.SlowTile,
 	})
 	if err != nil {
 		return nil, err
@@ -200,16 +199,13 @@ func PrintTable(w io.Writer, title string, rows []*Row) {
 			r.ILPII.Tau*1e12, ms(r.ILPII.CPU),
 			r.Greedy.Tau*1e12, ms(r.Greedy.CPU))
 	}
-	var n1, p1, n2, p2 int
+	var nodes, pivots int
 	for _, r := range rows {
-		n1 += r.ILPI.Nodes
-		p1 += r.ILPI.Pivots
-		n2 += r.ILPII.Nodes
-		p2 += r.ILPII.Pivots
+		nodes += r.ILPII.Nodes
+		pivots += r.ILPII.Pivots
 	}
 	fmt.Fprintf(w, "(τ in ps, CPU in ms solver-only; all methods place identical fill per tile)\n")
-	fmt.Fprintf(w, "solver work: ILP-I %d nodes / %d pivots, ILP-II %d nodes / %d pivots\n",
-		n1, p1, n2, p2)
+	fmt.Fprintf(w, "solver work: ILP-II %d nodes / %d pivots\n", nodes, pivots)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pilfill/internal/lp"
 )
@@ -100,9 +99,7 @@ type Solution struct {
 
 // Options bound the search effort.
 type Options struct {
-	MaxNodes int           // 0 means DefaultMaxNodes
-	Timeout  time.Duration // 0 means no time limit
-	IntTol   float64       // integrality tolerance; 0 means 1e-6
+	MaxNodes int // 0 means DefaultMaxNodes
 	// Cancel, when non-nil, is polled once per branch-and-bound node; a true
 	// return stops the search as if a limit had been hit (Status Feasible
 	// with the incumbent so far, or Limit without one). Callers plumbing a
@@ -110,7 +107,7 @@ type Options struct {
 	Cancel func() bool
 	// Incumbent optionally seeds the search with a known feasible integer
 	// assignment (length NumVars). It is validated — bounds, integrality
-	// within IntTol, every constraint within tolerance — and silently
+	// within intTol, every constraint within tolerance — and silently
 	// ignored if it fails, so callers may pass heuristic solutions without
 	// re-checking them. A valid incumbent starts pruning at the root and
 	// enables reduced-cost bound tightening; it never changes the returned
@@ -124,17 +121,14 @@ type Options struct {
 	// ProgressEvery is the node interval between Progress calls; 0 means
 	// DefaultProgressEvery. Ignored when Progress is nil.
 	ProgressEvery int
-	// WarmStart additionally passes the current incumbent to every node LP
-	// as a pivot-path hint (lp.Problem.Hint). Profitable when the incumbent
-	// sits near the LP relaxation optimum (ILP-I's slope greedy is exactly
-	// the relaxation's vertex); counterproductive when it does not (ILP-II's
-	// marginal greedy on convex floating costs), so callers opt in. Like
-	// Incumbent it never changes the returned status or objective.
-	WarmStart bool
 }
 
 // DefaultMaxNodes is the node budget applied when Options.MaxNodes is zero.
 const DefaultMaxNodes = 200_000
+
+// intTol is the integrality tolerance: an integer variable within intTol of
+// an integer counts as integral.
+const intTol = 1e-6
 
 // DefaultProgressEvery is the node interval between Progress callbacks when
 // Options.ProgressEvery is zero.
@@ -204,9 +198,6 @@ func fillOptions(opts *Options) Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = DefaultMaxNodes
 	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
 
@@ -274,15 +265,12 @@ type Searcher struct {
 	ws lp.Workspace
 
 	p         *Problem
-	opts      Options
-	deadline  time.Time
 	baseLo    []float64 // root bound box (tightened in place by tightenRoot)
 	baseUp    []float64
 	lo, up    []float64 // scratch: current node's materialized bound box
 	best      float64
 	bestX     []float64 // reusable incumbent buffer; valid when haveBest
 	haveBest  bool
-	seeded    bool // bestX came from Options.Incumbent
 	nodes     int
 	pivots    int
 	seq       int
@@ -304,13 +292,8 @@ func NewSearcher() *Searcher { return &Searcher{} }
 func (s *Searcher) Stats() lp.WorkspaceStats { return s.ws.Stats() }
 
 // reset prepares the searcher for a new problem, reusing every buffer.
-func (s *Searcher) reset(p *Problem, o Options) {
+func (s *Searcher) reset(p *Problem) {
 	s.p = p
-	s.opts = o
-	s.deadline = time.Time{}
-	if o.Timeout > 0 {
-		s.deadline = time.Now().Add(o.Timeout)
-	}
 	s.baseLo = growZeroF(s.baseLo, p.NumVars)
 	s.baseUp = growZeroF(s.baseUp, p.NumVars)
 	s.lo = growZeroF(s.lo, p.NumVars)
@@ -320,7 +303,6 @@ func (s *Searcher) reset(p *Problem, o Options) {
 	}
 	s.best = math.Inf(1)
 	s.haveBest = false
-	s.seeded = false
 	s.nodes = 0
 	s.pivots = 0
 	s.seq = 0
@@ -380,12 +362,11 @@ func (s *Searcher) Solve(p *Problem, opts *Options) (*Solution, error) {
 		return nil, err
 	}
 	o := fillOptions(opts)
-	s.reset(p, o)
+	s.reset(p)
 	if o.Incumbent != nil {
 		if obj, ok := s.checkIncumbent(o.Incumbent); ok {
 			s.best = obj
 			s.haveBest = true
-			s.seeded = true
 		}
 	}
 
@@ -402,8 +383,7 @@ func (s *Searcher) Solve(p *Problem, opts *Options) (*Solution, error) {
 	}
 	heap.Push(&s.heap, s.newNode(nil, nil, math.Inf(-1)))
 	for s.heap.Len() > 0 {
-		if s.nodes >= o.MaxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) ||
-			(o.Cancel != nil && o.Cancel()) {
+		if s.nodes >= o.MaxNodes || (o.Cancel != nil && o.Cancel()) {
 			return finish(false, s.heap.Len()), nil
 		}
 		n := heap.Pop(&s.heap).(*node)
@@ -466,12 +446,6 @@ func (s *Searcher) expand(n *node) error {
 		Lower:       s.lo,
 		Upper:       s.up,
 	}
-	if s.opts.WarmStart && s.haveBest {
-		// The best integer point found so far warm-starts the node LP.
-		// Advisory only — shortens the pivot path without changing the LP
-		// optimum.
-		s.prob.Hint = s.bestX
-	}
 	sol, err := s.ws.Solve(&s.prob)
 	if err != nil {
 		return err
@@ -500,7 +474,7 @@ func (s *Searcher) expand(n *node) error {
 
 	// Find the most fractional integer variable.
 	branchVar := -1
-	worstDist := s.opts.IntTol
+	worstDist := intTol
 	for j := 0; j < s.p.NumVars; j++ {
 		if s.p.varType(j) == Continuous {
 			continue
@@ -523,7 +497,6 @@ func (s *Searcher) expand(n *node) error {
 		}
 		s.best = sol.Objective
 		s.haveBest = true
-		s.seeded = false
 		return nil
 	}
 
@@ -541,7 +514,7 @@ func (s *Searcher) expand(n *node) error {
 }
 
 // checkIncumbent validates a caller-supplied incumbent: right length, finite,
-// integral within IntTol where required, inside the bound box, and
+// integral within intTol where required, inside the bound box, and
 // satisfying every constraint within 1e-6·(1+|RHS|). On success the rounded
 // copy is left in s.bestX and its exact objective returned; ok is false if
 // any check fails (s.bestX then holds garbage, guarded by haveBest).
@@ -549,7 +522,7 @@ func (s *Searcher) checkIncumbent(inc []float64) (obj float64, ok bool) {
 	if len(inc) != s.p.NumVars {
 		return 0, false
 	}
-	tol := s.opts.IntTol
+	tol := intTol
 	x := append(s.bestX[:0], inc...)
 	s.bestX = x
 	for j := range x {

@@ -175,7 +175,12 @@ func TestNodeLimitReturnsFeasibleOrLimit(t *testing.T) {
 	}
 }
 
-func TestTimeoutHonored(t *testing.T) {
+// TestCancelHonored: a Cancel that turns true after 50 ms stops a search
+// that would otherwise run to a hundred million nodes. This knapsack solves
+// well inside 50 ms, so a Cancel that turns true on its fourth poll (one
+// poll per node) must also stop the search after exactly three nodes,
+// keeping the incumbent found so far.
+func TestCancelHonored(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 22
 	p := &Problem{NumVars: n, Objective: make([]float64, n), VarTypes: make([]VarType, n)}
@@ -187,12 +192,20 @@ func TestTimeoutHonored(t *testing.T) {
 	}
 	p.Constraints = []lp.Constraint{{Coeffs: w, Op: lp.LE, RHS: 40}}
 	start := time.Now()
-	sol := solveOK(t, p, &Options{Timeout: 50 * time.Millisecond, MaxNodes: 100_000_000})
+	cancel := func() bool { return time.Since(start) > 50*time.Millisecond }
+	sol := solveOK(t, p, &Options{Cancel: cancel, MaxNodes: 100_000_000})
 	// Generous tolerance: the check happens between node expansions.
 	if time.Since(start) > 5*time.Second {
-		t.Fatalf("timeout not honored")
+		t.Fatalf("cancel not honored")
 	}
-	_ = sol
+	if sol.Nodes <= 3 {
+		t.Fatalf("the search took only %d nodes; a cancel after three cannot be told apart", sol.Nodes)
+	}
+	polls := 0
+	sol = solveOK(t, p, &Options{Cancel: func() bool { polls++; return polls > 3 }, MaxNodes: 100_000_000})
+	if sol.Nodes != 3 || (sol.Status != Feasible && sol.Status != Limit) {
+		t.Fatalf("cancel on the fourth poll: %d nodes, status %v; want 3 nodes, feasible or limit", sol.Nodes, sol.Status)
+	}
 }
 
 func TestBadProblems(t *testing.T) {

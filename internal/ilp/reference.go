@@ -2,7 +2,6 @@ package ilp
 
 import (
 	"math"
-	"time"
 
 	"pilfill/internal/lp"
 )
@@ -21,10 +20,6 @@ func SolveRowBased(p *Problem, opts *Options) (*Solution, error) {
 		return nil, err
 	}
 	o := fillOptions(opts)
-	deadline := time.Time{}
-	if o.Timeout > 0 {
-		deadline = time.Now().Add(o.Timeout)
-	}
 
 	// Base constraints: the caller's rows plus one LE row per finite upper
 	// bound (the encoding the bounded-variable simplex made obsolete).
@@ -38,11 +33,10 @@ func SolveRowBased(p *Problem, opts *Options) (*Solution, error) {
 		}
 	}
 
-	s := &rowSearcher{p: p, base: base, opts: o, best: math.Inf(1)}
+	s := &rowSearcher{p: p, base: base, best: math.Inf(1)}
 	stack := []*rowNode{{}}
 	for len(stack) > 0 {
-		if s.nodes >= o.MaxNodes || (!deadline.IsZero() && time.Now().After(deadline)) ||
-			(o.Cancel != nil && o.Cancel()) {
+		if s.nodes >= o.MaxNodes || (o.Cancel != nil && o.Cancel()) {
 			return s.finish(false), nil
 		}
 		n := stack[len(stack)-1]
@@ -74,7 +68,6 @@ type rowNode struct {
 type rowSearcher struct {
 	p        *Problem
 	base     []lp.Constraint
-	opts     Options
 	best     float64
 	bestX    []float64
 	nodes    int
@@ -122,7 +115,7 @@ func (s *rowSearcher) expand(n *rowNode) ([]*rowNode, error) {
 	}
 
 	branchVar := -1
-	worstDist := s.opts.IntTol
+	worstDist := intTol
 	for j := 0; j < s.p.NumVars; j++ {
 		if s.p.varType(j) == Continuous {
 			continue

@@ -195,42 +195,3 @@ func TestIncumbentSeedingReducesNodes(t *testing.T) {
 		t.Errorf("seeding saved nothing across trials: %d vs %d nodes", totalSeeded, totalUnseeded)
 	}
 }
-
-// TestWarmStartPreservesResults verifies that WarmStart changes only the
-// pivot path: statuses and objectives match the cold solve on random
-// problems, with the incumbent (when one validates) as the hint source.
-func TestWarmStartPreservesResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		p := randomILP(rng)
-		cold, err := Solve(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := Solve(p, &Options{WarmStart: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != warm.Status {
-			t.Fatalf("trial %d: status %v (cold) vs %v (warm)", trial, cold.Status, warm.Status)
-		}
-		if cold.Status == Optimal && !approx(cold.Objective, warm.Objective, 1e-6*(1+math.Abs(cold.Objective))) {
-			t.Fatalf("trial %d: objective %g vs %g", trial, cold.Objective, warm.Objective)
-		}
-	}
-	for trial := 0; trial < 25; trial++ {
-		p, inc := knapsackWithGreedySeed(rng, 12)
-		cold, err := Solve(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := Solve(p, &Options{Incumbent: inc, WarmStart: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != Optimal || warm.Status != Optimal || !approx(cold.Objective, warm.Objective, 1e-6) {
-			t.Fatalf("trial %d: %v %g (cold) vs %v %g (warm-seeded)",
-				trial, cold.Status, cold.Objective, warm.Status, warm.Objective)
-		}
-	}
-}

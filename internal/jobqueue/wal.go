@@ -10,6 +10,7 @@ package jobqueue
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -44,8 +45,10 @@ type WAL struct {
 
 // OpenWAL opens (creating directories and the file as needed) the log at
 // path and returns the records already present — the previous process
-// incarnation's history, for replay. Trailing partial lines (a crash mid-
-// append) are dropped; everything before them is kept.
+// incarnation's history, for replay. A record counts only once its newline
+// is on disk, as Append returns only then: a trailing line without one, or
+// any line that does not parse (a crash mid-append), is truncated away with
+// everything after it; everything before it is kept.
 func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("jobqueue: wal dir: %w", err)
@@ -58,6 +61,7 @@ func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	valid := int64(0)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 256<<20) // inline DEF payloads are large
+	sc.Split(scanTerminatedLines)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var rec WALRecord
@@ -80,6 +84,16 @@ func OpenWAL(path string) (*WAL, []WALRecord, error) {
 		return nil, nil, fmt.Errorf("jobqueue: seek wal: %w", err)
 	}
 	return &WAL{f: f}, recs, nil
+}
+
+// scanTerminatedLines is a bufio.SplitFunc yielding each '\n'-terminated
+// line without its newline and nothing for an unterminated tail, so every
+// token advances the reader by exactly its length plus one.
+func scanTerminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // Append durably writes one record: the line is written and fsynced before

@@ -305,39 +305,6 @@ func TestQuickBoundedMatchesRowEncoding(t *testing.T) {
 	}
 }
 
-// TestQuickHintDoesNotChangeOptimum verifies Problem.Hint is advisory: a
-// random (often infeasible or wild) hint must leave the status and objective
-// of random bounded LPs untouched.
-func TestQuickHintDoesNotChangeOptimum(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomBoundedLP(rng)
-		cold, err1 := Solve(p)
-		q := *p
-		q.Hint = make([]float64, p.NumVars)
-		for j := range q.Hint {
-			q.Hint[j] = rng.Float64()*20 - 5 // may violate bounds and rows
-		}
-		warm, err2 := Solve(&q)
-		if err1 != nil || err2 != nil {
-			return err1 != nil && err2 != nil
-		}
-		if cold.Status != warm.Status {
-			t.Logf("seed %d: cold %v vs hinted %v", seed, cold.Status, warm.Status)
-			return false
-		}
-		if cold.Status == Optimal &&
-			!approx(cold.Objective, warm.Objective, 1e-6*(1+math.Abs(cold.Objective))) {
-			t.Logf("seed %d: cold obj %g vs hinted %g", seed, cold.Objective, warm.Objective)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // BenchmarkSimplex measures the bounded-variable solver on a transportation
 // LP with native box bounds, with and without workspace reuse.
 func BenchmarkSimplex(b *testing.B) {

@@ -78,15 +78,6 @@ type Problem struct {
 	// so branch-and-bound can create empty bound boxes freely).
 	Lower []float64
 	Upper []float64
-
-	// Hint optionally supplies a warm-start point (entries beyond the slice
-	// length are ignored). A variable whose hinted value falls in the upper
-	// half of a finite bound range starts nonbasic at its upper bound
-	// instead of its lower bound; when the hint comes from a good incumbent
-	// this seats the initial basis near the optimum. The hint is advisory
-	// only: it changes the pivot path, never the reported optimum, and
-	// non-finite entries are skipped.
-	Hint []float64
 }
 
 func (p *Problem) lowerOf(j int) float64 {
@@ -225,7 +216,6 @@ type Workspace struct {
 	ops      []Op        // scratch normalized operator per constraint
 	colRows  []int       // scratch per-variable constraint-occurrence count
 	crash    []int       // scratch per-constraint crash column, -1 if none
-	preflip  []bool      // scratch per-variable hint-driven start at upper bound
 	pivots   int
 	stats    WorkspaceStats
 	x        []float64 // reusable Solution.X buffer
@@ -434,30 +424,6 @@ func (ws *Workspace) init(p *Problem) {
 		}
 	}
 
-	// Hint-driven warm start: a variable hinted into the upper half of a
-	// finite bound range starts nonbasic at its upper bound — its column is
-	// complemented from the outset, exactly as a later bound flip would.
-	ws.preflip = growB(ws.preflip, n)
-	for j := 0; j < n; j++ {
-		ws.preflip[j] = false
-		if j >= len(p.Hint) {
-			continue
-		}
-		h := p.Hint[j]
-		if math.IsNaN(h) || math.IsInf(h, 0) {
-			continue
-		}
-		lo, hi := p.lowerOf(j), p.upperOf(j)
-		rng := hi - lo
-		if math.IsInf(rng, 1) || rng <= fixedTol {
-			continue
-		}
-		if h > hi {
-			h = hi
-		}
-		ws.preflip[j] = h-lo > rng/2
-	}
-
 	// Pass 1: shift RHS by the lower bounds, normalize signs, and count the
 	// slack and artificial columns each row needs. After normalization:
 	//   LE rows get +slack (slack basic, no artificial needed),
@@ -474,16 +440,13 @@ func (ws *Workspace) init(p *Problem) {
 	slackCount, artCount := 0, 0
 	for i, c := range p.Constraints {
 		b := c.RHS
-		if len(p.Lower) > 0 || len(p.Hint) > 0 {
+		if len(p.Lower) > 0 {
 			for j, v := range c.Coeffs {
 				if v == 0 {
 					continue
 				}
 				if lo := p.lowerOf(j); lo != 0 {
 					b -= v * lo
-				}
-				if ws.preflip[j] {
-					b -= v * (p.upperOf(j) - p.lowerOf(j))
 				}
 			}
 		}
@@ -506,9 +469,6 @@ func (ws *Workspace) init(p *Problem) {
 					continue
 				}
 				a := v
-				if ws.preflip[j] {
-					a = -a
-				}
 				if neg {
 					a = -a
 				}
@@ -559,7 +519,7 @@ func (ws *Workspace) init(p *Problem) {
 	ws.allowed = growB(ws.allowed, cols)
 	ws.cost = growF(ws.cost, cols)
 	for j := 0; j < cols; j++ {
-		ws.flipped[j] = j < n && ws.preflip[j]
+		ws.flipped[j] = false
 		if j < n {
 			ws.colUB[j] = p.upperOf(j) - p.lowerOf(j)
 			// Fixed variables (range ~0) never pivot; they stay at their
@@ -582,13 +542,6 @@ func (ws *Workspace) init(p *Problem) {
 			}
 		} else {
 			copy(row, c.Coeffs)
-		}
-		if len(p.Hint) > 0 {
-			for j := range c.Coeffs {
-				if ws.preflip[j] {
-					row[j] = -row[j]
-				}
-			}
 		}
 		row[cols] = ws.rhs[i]
 		switch ws.ops[i] {

@@ -35,7 +35,6 @@ import (
 	"pilfill/internal/drc"
 	"pilfill/internal/gds"
 	"pilfill/internal/geom"
-	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/lef"
 	"pilfill/internal/obs"
@@ -93,7 +92,7 @@ type Options struct {
 	MaxDensity float64
 	// Seed drives the budgeter's and the Normal baseline's randomness.
 	Seed int64
-	// ILPNodeLimit caps branch-and-bound nodes per tile (0 = default).
+	// ILPNodeLimit caps branch-and-bound nodes per ILP-II tile (0 = default).
 	ILPNodeLimit int
 	// NetCap bounds each net's added delay per tile, in seconds, for
 	// GreedyCapped and ILP-II (0 = off). On a tile where no assignment of
@@ -175,7 +174,7 @@ func (o Options) EngineConfig() core.Config {
 		OnTile:        o.OnTile,
 	}
 	if o.ILPNodeLimit > 0 {
-		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
+		cfg.ILPNodeLimit = o.ILPNodeLimit
 	}
 	return cfg
 }
@@ -272,7 +271,7 @@ func (s *Session) Run(m Method) (*Report, error) {
 }
 
 // RunContext is Run with cancellation: the context is checked at every tile
-// boundary and inside the ILP branch-and-bound loops, so cancelling it (or
+// boundary and inside ILP-II's branch-and-bound loop, so cancelling it (or
 // letting its deadline expire) stops the solver work promptly. The returned
 // error wraps ctx.Err(), so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) discriminate the cause.
