@@ -68,7 +68,7 @@ cluster-smoke:
 	$(GO) test -race -count=1 -run 'TestClusterBitIdentical|TestClusterSurvivesWorkerKill' ./internal/cluster
 
 bench:
-	$(GO) test -bench 'EnginePreprocess|MonteCarlo$$' -benchtime 10x -run '^$$' . ./internal/density
+	$(GO) test -bench 'EnginePreprocess|MonteCarlo$$|ExtractDefIII$$' -benchtime 10x -run '^$$' . ./internal/density ./internal/scanline
 
 # Tracing smoke test: run a small case with -trace and validate the Chrome
 # trace-event JSON (parses, has the run/prep/tile/solve span hierarchy).

@@ -190,8 +190,8 @@ func TestInstancesErrorOnTruncatedTable(t *testing.T) {
 		for j := range eng.Tiles[i] {
 			for k := range eng.Tiles[i][j].Cols {
 				col := &eng.Tiles[i][j].Cols[k]
-				if (col.HasLow || col.HasHigh) && col.Capacity > 1 {
-					spacing, capacity = col.Spacing(), col.Capacity
+				if (col.HasLow() || col.HasHigh()) && col.Capacity > 1 {
+					spacing, capacity = col.Spacing(), int(col.Capacity)
 				}
 			}
 		}
@@ -241,7 +241,7 @@ func TestAccountingErrorsOnCorruptAssignment(t *testing.T) {
 	}
 	// An assignment exceeding a column's free sites must be rejected too.
 	overfull := make(Assignment, len(in.Columns))
-	overfull[0] = in.Columns[0].Col.Capacity + 1
+	overfull[0] = int(in.Columns[0].Col.Capacity) + 1
 	fs := &layout.FillSet{Grid: eng.Grid, Layer: eng.Cfg.Layer}
 	var rows []int
 	if err := eng.place(fs, in, overfull, &rows); err == nil {

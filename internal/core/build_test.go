@@ -18,8 +18,8 @@ import (
 // with the row index breaking ties.
 func sortedFreeRows(e *Engine, col *scanline.Column) []int {
 	var free []int
-	for r := col.RowLo; r < col.RowHi; r++ {
-		if !e.Occ.Blocked(col.Col, r) {
+	for r := int(col.RowLo); r < int(col.RowHi); r++ {
+		if !e.Occ.Blocked(int(col.Col), r) {
 			free = append(free, r)
 		}
 	}
@@ -73,7 +73,7 @@ func TestFreeRowsCenterOutMatchesSortOrder(t *testing.T) {
 	for trial := 0; trial < 20000; trial++ {
 		lo := rng.Intn(grid.Rows + 1)
 		hi := lo + rng.Intn(grid.Rows+1-lo)
-		col := scanline.Column{Col: rng.Intn(grid.Cols), RowLo: lo, RowHi: hi}
+		col := scanline.Column{Col: int32(rng.Intn(grid.Cols)), RowLo: int32(lo), RowHi: int32(hi)}
 		// The center lands anywhere from well below the span to well above
 		// it, on row edges and feature centers as often as between them.
 		y := grid.SiteY(lo) + int64(rng.Intn(hi-lo+20)-10)*pitch
@@ -128,7 +128,7 @@ func TestBuiltFreeRowsMatchSortOrder(t *testing.T) {
 				rows := slices.Clone(want[:m])
 				slices.Sort(rows)
 				for i, f := range fs.Fills {
-					if f.Col != cv.Col.Col || i >= m || f.Row != rows[i] {
+					if f.Col != int(cv.Col.Col) || i >= m || f.Row != rows[i] {
 						t.Fatalf("tile (%d,%d) column %d, m = %d: placed %v, want rows %v in column %d",
 							in.I, in.J, k, m, fs.Fills, rows, cv.Col.Col)
 					}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -56,6 +57,11 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+// ErrGroundedILPI is the error of running ILP-I on an engine with
+// Config.Grounded set: ILP-I optimizes the Eq 6 linearization of floating
+// fill, which has no grounded-fill counterpart.
+var ErrGroundedILPI = errors.New("core: ILP-I cannot run with grounded fill: it optimizes the floating-fill Eq 6 linearization")
+
 // Config parameterizes an Engine.
 type Config struct {
 	Layer    int          // routing layer to fill
@@ -93,7 +99,8 @@ type Config struct {
 	// crosstalk shielding. Note the grounded cost curve has a step at the
 	// first feature, so MarginalGreedy (and the MVDC frontier built on it)
 	// loses its optimality guarantee and becomes a heuristic; DP and ILP-II
-	// remain exact.
+	// remain exact. ILP-I optimizes the floating-fill Eq 6 linearization, so
+	// running it on a grounded engine is an error (ErrGroundedILPI).
 	Grounded bool
 	// Cache overrides the capacitance-table cache used during instance
 	// construction; nil selects cap.Shared, the process-wide cache that
@@ -418,8 +425,8 @@ func (e *Engine) Instances(budget density.Budget) ([]*Instance, error) {
 					continue
 				}
 				nCols++
-				if col.HasLow || col.HasHigh {
-					nCurve += col.Capacity + 1
+				if col.HasLow() || col.HasHigh() {
+					nCurve += int(col.Capacity) + 1
 				}
 			}
 		}
@@ -649,7 +656,8 @@ func (e *Engine) tileOpts(ctx context.Context, sc *SolveScratch, base *ilp.Optio
 // Run solves every instance with the chosen method and assembles the fill.
 // The instances must come from this engine's Instances call. With
 // Config.Workers > 1 the tiles are solved concurrently; the result is
-// identical to the serial run.
+// identical to the serial run. ILP-I on an engine with Config.Grounded set
+// returns ErrGroundedILPI.
 func (e *Engine) Run(method Method, instances []*Instance) (*Result, error) {
 	return e.RunContext(context.Background(), method, instances)
 }
@@ -674,6 +682,9 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 // fanned out across Config.Workers and served from the memo where possible,
 // then evaluate, account and place in instance order.
 func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, nc *NetCap) (*Result, error) {
+	if method == ILPI && e.Cfg.Grounded {
+		return nil, ErrGroundedILPI
+	}
 	res := &Result{
 		Method: method,
 		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
@@ -908,25 +919,26 @@ func (e *Engine) accumulatePerNet(perNet []float64, in *Instance, a Assignment) 
 // (fewer when the column has fewer free rows).
 func (e *Engine) appendFreeRows(buf []int, cv *ColumnVar, m int) []int {
 	col := cv.Col
+	site, rowLo, rowHi := int(col.Col), int(col.RowLo), int(col.RowHi)
 	// Row r's feature center sits SiteY(r) - c above the gap center.
 	c := (col.YLo+col.YHi)/2 - e.Rule.Feature/2
-	hi := col.RowLo
-	for hi < col.RowHi && e.Grid.SiteY(hi) < c {
+	hi := rowLo
+	for hi < rowHi && e.Grid.SiteY(hi) < c {
 		hi++
 	}
 	lo := hi - 1
 	for taken := 0; taken < m; taken++ {
-		for lo >= col.RowLo && e.Occ.Blocked(col.Col, lo) {
+		for lo >= rowLo && e.Occ.Blocked(site, lo) {
 			lo--
 		}
-		for hi < col.RowHi && e.Occ.Blocked(col.Col, hi) {
+		for hi < rowHi && e.Occ.Blocked(site, hi) {
 			hi++
 		}
 		switch {
-		case lo >= col.RowLo && (hi >= col.RowHi || c-e.Grid.SiteY(lo) <= e.Grid.SiteY(hi)-c):
+		case lo >= rowLo && (hi >= rowHi || c-e.Grid.SiteY(lo) <= e.Grid.SiteY(hi)-c):
 			buf = append(buf, lo)
 			lo--
-		case hi < col.RowHi:
+		case hi < rowHi:
 			buf = append(buf, hi)
 			hi++
 		default:
@@ -956,7 +968,7 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 		}
 		slices.Sort(rows)
 		for _, r := range rows {
-			fs.Fills = append(fs.Fills, layout.Fill{Col: cv.Col.Col, Row: r})
+			fs.Fills = append(fs.Fills, layout.Fill{Col: int(cv.Col.Col), Row: r})
 		}
 	}
 	return nil

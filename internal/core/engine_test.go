@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"pilfill/internal/density"
@@ -364,5 +365,24 @@ func TestGroundedFillHeavierButStillOptimal(t *testing.T) {
 	}
 	if mg.Unweighted < dp.Unweighted*(1-1e-9)-1e-25 {
 		t.Errorf("marginal greedy %g beats the DP optimum %g", mg.Unweighted, dp.Unweighted)
+	}
+}
+
+// TestGroundedILPIRejected: ILP-I optimizes the floating-fill Eq 6
+// linearization, so a grounded engine refuses it instead of placing the
+// floating-fill answer; the methods with a grounded model still run.
+func TestGroundedILPIRejected(t *testing.T) {
+	eng, budget := buildEngine(t, false, scanline.DefIII)
+	eng.Cfg.Grounded = true
+	instances := mustInstances(t, eng, budget)
+	if res, err := eng.Run(ILPI, instances); !errors.Is(err, ErrGroundedILPI) || res != nil {
+		t.Fatalf("grounded ILP-I: result %v, error %v; want ErrGroundedILPI", res, err)
+	}
+	if _, err := eng.Run(ILPII, instances); err != nil {
+		t.Fatalf("grounded ILP-II: %v", err)
+	}
+	eng.Cfg.Grounded = false
+	if _, err := eng.Run(ILPI, mustInstances(t, eng, budget)); err != nil {
+		t.Fatalf("floating ILP-I: %v", err)
 	}
 }

@@ -327,7 +327,7 @@ func dualSynthInstance(rng *rand.Rand, nCols int, convex bool) *Instance {
 	for k := 0; k < nCols; k++ {
 		capacity := 1 + rng.Intn(5)
 		cv := ColumnVar{
-			Col:    &scanline.Column{Col: k, Capacity: capacity},
+			Col:    &scanline.Column{Col: int32(k), Capacity: int32(capacity)},
 			MaxM:   capacity,
 			NetLow: -1, NetHigh: -1,
 		}

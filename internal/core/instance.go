@@ -181,23 +181,32 @@ func (e *Engine) buildInstance(in *Instance, i, j, want int, cols []ColumnVar, c
 		return 1 + e.Cfg.Activity[aggressorNet]
 	}
 
+	// Consecutive columns mostly repeat a (spacing, capacity) pair, and a
+	// table is a pure function of that pair for this engine, so the last one
+	// resolved is reused without a cache lookup.
+	lastD, lastCap := int64(-1), -1
+	var tbl cap.Table
 	*in = Instance{I: i, J: j, Columns: cols[:0]}
 	for k := range tc.Cols {
 		col := &tc.Cols[k]
 		if col.Capacity <= 0 {
 			continue
 		}
-		cv := ColumnVar{Col: col, MaxM: col.Capacity, NetLow: -1, NetHigh: -1}
-		if col.HasLow || col.HasHigh {
+		cv := ColumnVar{Col: col, MaxM: int(col.Capacity), NetLow: -1, NetHigh: -1}
+		if col.HasLow() || col.HasHigh() {
 			d := col.Spacing()
-			var tbl cap.Table
-			if e.cache != nil {
-				tbl = e.cache.Table(proc, rule.Feature, d, col.Capacity, e.Cfg.Grounded)
-			} else if e.Cfg.Grounded {
-				tbl = proc.BuildGroundedTable(rule.Feature, d, col.Capacity)
-			} else {
-				tbl = proc.BuildTable(rule.Feature, d, col.Capacity)
+			if d != lastD || cv.MaxM != lastCap {
+				switch {
+				case e.cache != nil:
+					tbl = e.cache.Table(proc, rule.Feature, d, cv.MaxM, e.Cfg.Grounded)
+				case e.Cfg.Grounded:
+					tbl = proc.BuildGroundedTable(rule.Feature, d, cv.MaxM)
+				default:
+					tbl = proc.BuildTable(rule.Feature, d, cv.MaxM)
+				}
+				lastD, lastCap = d, cv.MaxM
 			}
+			x := e.Grid.SiteCenterX(int(col.Col))
 			if tbl.MaxM() < cv.MaxM {
 				// Geometry guarantees capacity*pitch <= gap, so a shorter
 				// table means the extraction and the capacitance model
@@ -206,26 +215,26 @@ func (e *Engine) buildInstance(in *Instance, i, j, want int, cols []ColumnVar, c
 				// figure downstream — surface the inconsistency instead.
 				return fmt.Errorf(
 					"core: tile (%d,%d) column %d at x=%d: capacitance table covers %d features but extraction found capacity %d (spacing %d)",
-					i, j, k, col.X, tbl.MaxM(), cv.MaxM, d)
+					i, j, k, x, tbl.MaxM(), cv.MaxM, d)
 			}
 			aggLow, aggHigh := -1, -1
-			if col.HasHigh {
+			if col.HasHigh() {
 				aggLow = col.High.Net // the high line is the low line's aggressor
 			}
-			if col.HasLow {
+			if col.HasLow() {
 				aggHigh = col.Low.Net
 			}
 			rhatU, rhatW := 0.0, 0.0
-			if col.HasLow {
-				r, w := analyses[col.Low.Net].At(col.Low.Seg, col.X)
+			if col.HasLow() {
+				r, w := analyses[col.Low.Net].At(col.Low.Seg, x)
 				cv.NetLow, cv.RLow = col.Low.Net, r
 				sf := switchFactor(aggLow)
 				cv.REffLow = r * sf
 				rhatU += cv.REffLow
 				rhatW += cv.REffLow * float64(w)
 			}
-			if col.HasHigh {
-				r, w := analyses[col.High.Net].At(col.High.Seg, col.X)
+			if col.HasHigh() {
+				r, w := analyses[col.High.Net].At(col.High.Seg, x)
 				cv.NetHigh, cv.RHigh = col.High.Net, r
 				sf := switchFactor(aggHigh)
 				cv.REffHigh = r * sf

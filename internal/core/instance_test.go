@@ -105,7 +105,7 @@ func TestInstancesLeaveTablesUntouched(t *testing.T) {
 					if cv.DeltaC == nil {
 						continue
 					}
-					tbl := eng.cache.Table(eng.Cfg.Proc, eng.Rule.Feature, cv.Col.Spacing(), cv.Col.Capacity, eng.Cfg.Grounded)
+					tbl := eng.cache.Table(eng.Cfg.Proc, eng.Rule.Feature, cv.Col.Spacing(), int(cv.Col.Capacity), eng.Cfg.Grounded)
 					if &tbl.Deltas[0] != &cv.DeltaC[0] || cap(cv.DeltaC) != cv.MaxM+1 {
 						t.Fatalf("tile (%d,%d) column %d: DeltaC is not a capped view of the cached table", in.I, in.J, k)
 					}
@@ -162,7 +162,7 @@ type oracleColumn struct {
 func oracleCurves(e *Engine, cv *ColumnVar) oracleColumn {
 	col := cv.Col
 	o := oracleColumn{netLo: -1, netHi: -1}
-	if !col.HasLow && !col.HasHigh {
+	if !col.HasLow() && !col.HasHigh() {
 		return o
 	}
 	sf := func(aggressor int) float64 {
@@ -171,32 +171,34 @@ func oracleCurves(e *Engine, cv *ColumnVar) oracleColumn {
 		}
 		return 1 + e.Cfg.Activity[aggressor]
 	}
-	tbl := e.Cfg.Proc.BuildTable(e.Rule.Feature, col.Spacing(), col.Capacity)
+	capacity := int(col.Capacity)
+	x := e.Grid.SiteCenterX(int(col.Col))
+	tbl := e.Cfg.Proc.BuildTable(e.Rule.Feature, col.Spacing(), capacity)
 	if e.Cfg.Grounded {
-		tbl = e.Cfg.Proc.BuildGroundedTable(e.Rule.Feature, col.Spacing(), col.Capacity)
+		tbl = e.Cfg.Proc.BuildGroundedTable(e.Rule.Feature, col.Spacing(), capacity)
 	}
 	rhatU, rhatW := 0.0, 0.0
-	if col.HasLow {
+	if col.HasLow() {
 		aggressor := -1
-		if col.HasHigh {
+		if col.HasHigh() {
 			aggressor = col.High.Net
 		}
-		r, w := e.Analyses[col.Low.Net].At(col.Low.Seg, col.X)
+		r, w := e.Analyses[col.Low.Net].At(col.Low.Seg, x)
 		o.netLo, o.reffLo = col.Low.Net, r*sf(aggressor)
 		rhatU += o.reffLo
 		rhatW += o.reffLo * float64(w)
 	}
-	if col.HasHigh {
+	if col.HasHigh() {
 		aggressor := -1
-		if col.HasLow {
+		if col.HasLow() {
 			aggressor = col.Low.Net
 		}
-		r, w := e.Analyses[col.High.Net].At(col.High.Seg, col.X)
+		r, w := e.Analyses[col.High.Net].At(col.High.Seg, x)
 		o.netHi, o.reffHi = col.High.Net, r*sf(aggressor)
 		rhatU += o.reffHi
 		rhatW += o.reffHi * float64(w)
 	}
-	n := col.Capacity + 1
+	n := capacity + 1
 	o.dc, o.u, o.w = make([]float64, n), make([]float64, n), make([]float64, n)
 	for m := 1; m < n; m++ {
 		d := tbl.Delta(m)

@@ -308,7 +308,7 @@ func placeableRepairTiles(n int) []*Instance {
 		in := repairInstance()
 		in.I = i
 		for k := range in.Columns {
-			in.Columns[k].Col = &scanline.Column{Col: k, RowHi: 4}
+			in.Columns[k].Col = &scanline.Column{Col: int32(k), RowHi: 4}
 		}
 		instances = append(instances, in)
 	}

@@ -10,8 +10,10 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"pilfill/internal/geom"
 )
@@ -262,7 +264,8 @@ type SiteGrid struct {
 }
 
 // NewSiteGrid builds the grid; sites whose feature square would leave the
-// die are excluded by construction.
+// die are excluded by construction. A grid with more than math.MaxInt32
+// columns or rows is an error: slack columns store site indices as int32.
 func NewSiteGrid(die geom.Rect, rule FillRule) (*SiteGrid, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
@@ -271,19 +274,22 @@ func NewSiteGrid(die geom.Rect, rule FillRule) (*SiteGrid, error) {
 		return nil, fmt.Errorf("layout: site grid on empty die")
 	}
 	p := rule.Pitch()
-	cols := int((die.Width() - rule.Feature) / p)
-	rows := int((die.Height() - rule.Feature) / p)
-	if cols < 0 {
-		cols = 0
-	} else {
-		cols++
+	cols := siteCount(die.Width(), rule.Feature, p)
+	rows := siteCount(die.Height(), rule.Feature, p)
+	if cols > math.MaxInt32 || rows > math.MaxInt32 {
+		return nil, fmt.Errorf("layout: site grid of %d x %d sites exceeds %d per axis", cols, rows, math.MaxInt32)
 	}
-	if rows < 0 {
-		rows = 0
-	} else {
-		rows++
+	return &SiteGrid{Die: die, Rule: rule, Cols: int(cols), Rows: int(rows)}, nil
+}
+
+// siteCount returns the number of sites of the given feature and pitch
+// along a span of the given length.
+func siteCount(span, feature, pitch int64) int64 {
+	n := (span - feature) / pitch
+	if n < 0 {
+		return 0
 	}
-	return &SiteGrid{Die: die, Rule: rule, Cols: cols, Rows: rows}, nil
+	return n + 1
 }
 
 // SiteRect returns the feature square of site (c, r).
@@ -514,12 +520,23 @@ type HLine struct {
 }
 
 // HLines collects the horizontal segments of a layer as HLine records,
-// sorted by YBot then X1 (the scan order of Fig 7).
+// sorted by YBot then X1 (the scan order of Fig 7). It counts them first,
+// so the result is one exact-size allocation. slices.SortFunc is the same
+// pattern-defeating quicksort as sort.Slice (both are generated from one
+// template), so lines that tie on (YBot, X1) keep the order sort.Slice gave.
 func (l *Layout) HLines(layer int) []HLine {
-	var out []HLine
-	for ni, n := range l.Nets {
-		for si, s := range n.Segments {
-			if s.Layer != layer || !s.Horizontal() || s.Length() == 0 {
+	n := 0
+	for _, net := range l.Nets {
+		for _, s := range net.Segments {
+			if isHLine(s, layer) {
+				n++
+			}
+		}
+	}
+	out := make([]HLine, 0, n)
+	for ni, net := range l.Nets {
+		for si, s := range net.Segments {
+			if !isHLine(s, layer) {
 				continue
 			}
 			r := s.Rect()
@@ -530,11 +547,16 @@ func (l *Layout) HLines(layer int) []HLine {
 			})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].YBot != out[b].YBot {
-			return out[a].YBot < out[b].YBot
+	slices.SortFunc(out, func(a, b HLine) int {
+		if c := cmp.Compare(a.YBot, b.YBot); c != 0 {
+			return c
 		}
-		return out[a].X1 < out[b].X1
+		return cmp.Compare(a.X1, b.X1)
 	})
 	return out
+}
+
+// isHLine reports whether s is a horizontal line of the given layer.
+func isHLine(s Segment, layer int) bool {
+	return s.Layer == layer && s.Horizontal() && s.Length() != 0
 }

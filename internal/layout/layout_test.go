@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -296,6 +297,30 @@ func TestFreeInColumn(t *testing.T) {
 	}
 	if got := occ.FreeInColumn(2, 3, 4); got != 0 {
 		t.Errorf("blocked row counted free")
+	}
+}
+
+// TestSiteGridInt32Bound: slack columns store site indices as int32, so a
+// grid with more columns or rows than that is rejected.
+func TestSiteGridInt32Bound(t *testing.T) {
+	rule := FillRule{Feature: 300, Gap: 100}
+	side := func(n int64) int64 { return (n-1)*rule.Pitch() + rule.Feature } // exactly n sites
+	for _, c := range []struct {
+		cols, rows int64
+		ok         bool
+	}{
+		{math.MaxInt32, 10, true},
+		{10, math.MaxInt32, true},
+		{math.MaxInt32 + 1, 10, false},
+		{10, math.MaxInt32 + 1, false},
+	} {
+		g, err := NewSiteGrid(geom.Rect{X2: side(c.cols), Y2: side(c.rows)}, rule)
+		if (err == nil) != c.ok {
+			t.Fatalf("%d x %d sites: error %v, want ok=%v", c.cols, c.rows, err, c.ok)
+		}
+		if err == nil && (int64(g.Cols) != c.cols || int64(g.Rows) != c.rows) {
+			t.Fatalf("grid = %dx%d, want %dx%d", g.Cols, g.Rows, c.cols, c.rows)
+		}
 	}
 }
 

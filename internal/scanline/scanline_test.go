@@ -73,14 +73,14 @@ func TestTwoLinesOneGap(t *testing.T) {
 		for j := range tiles[i] {
 			for _, c := range tiles[i][j].Cols {
 				switch {
-				case c.HasLow && c.HasHigh:
+				case c.HasLow() && c.HasHigh():
 					pair++
 					if c.Spacing() != 5800 {
 						t.Fatalf("pair spacing = %d, want 5800", c.Spacing())
 					}
-				case c.HasHigh:
+				case c.HasHigh():
 					high++ // below the bottom wire
-				case c.HasLow:
+				case c.HasLow():
 					low++ // above the top wire
 				default:
 					none++
@@ -106,7 +106,7 @@ func TestDefIDropsBoundaryColumns(t *testing.T) {
 	for i := range tiles {
 		for j := range tiles[i] {
 			for _, c := range tiles[i][j].Cols {
-				if !c.HasLow || !c.HasHigh {
+				if !c.HasLow() || !c.HasHigh() {
 					t.Fatalf("DefI column without both bounds: %+v", c)
 				}
 			}
@@ -165,13 +165,13 @@ func TestAdjacentTileAttribution(t *testing.T) {
 	midII := tilesII[1][1]
 	midIII := tilesIII[1][1]
 	for _, c := range midII.Cols {
-		if c.HasLow || c.HasHigh {
+		if c.HasLow() || c.HasHigh() {
 			t.Fatalf("DefII middle tile attributed: %+v", c)
 		}
 	}
 	attributed := 0
 	for _, c := range midIII.Cols {
-		if c.HasLow && c.HasHigh {
+		if c.HasLow() && c.HasHigh() {
 			attributed++
 			if c.Spacing() != 15800 {
 				t.Errorf("spacing = %d, want 15800", c.Spacing())
@@ -342,7 +342,7 @@ func TestQuickDefIIIMatchesBruteForce(t *testing.T) {
 		for i := range tiles {
 			for j := range tiles[i] {
 				for _, c := range tiles[i][j].Cols {
-					got[[3]int{i, j, c.Col}] += c.Capacity
+					got[[3]int{i, j, int(c.Col)}] += int(c.Capacity)
 				}
 			}
 		}
@@ -407,6 +407,7 @@ func BenchmarkExtractDefIII(b *testing.B) {
 	d, _ := layout.NewDissection(die, 16000, 4)
 	grid, _ := layout.NewSiteGrid(die, rule)
 	occ := layout.NewOccupancy(l, grid, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Extract(l, 0, d, occ, DefIII); err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pilfill"
+	"pilfill/internal/core"
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/server"
 	"pilfill/internal/testcases"
@@ -403,5 +404,27 @@ func TestSolveHistogramRecorded(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestGroundedILPIJobFails: an ILP-I job with grounded fill fails with the
+// engine's error instead of reporting the floating-fill answer.
+func TestGroundedILPIJobFails(t *testing.T) {
+	_, ts := startServer(t, server.Config{Queue: jobqueue.Config{Capacity: 4, Workers: 1}})
+	code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", server.SubmitRequest{
+		Testcase: "T1",
+		Method:   "ILP-I",
+		Options:  server.SubmitOptions{Window: 32, R: 4, Seed: 1, Grounded: true},
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, data)
+	}
+	var sub server.JobView
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	final := pollJob(t, ts.URL, sub.ID, func(v server.JobView) bool { return v.State == "done" || v.State == "failed" })
+	if final.State != "failed" || !strings.Contains(final.Error, core.ErrGroundedILPI.Error()) {
+		t.Fatalf("job finished %s with error %q, want failed with %q", final.State, final.Error, core.ErrGroundedILPI)
 	}
 }

@@ -2,11 +2,13 @@ package pilfill
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pilfill/internal/core"
 	"pilfill/internal/density"
 	"pilfill/internal/layout"
 )
@@ -224,5 +226,24 @@ func TestEngineConfigCoversEveryField(t *testing.T) {
 		if reflect.DeepEqual(o.EngineConfig(), base) {
 			t.Errorf("field %s does not reach core.Config", f.Name)
 		}
+	}
+}
+
+// TestSessionGroundedILPIRejected: a grounded session refuses ILP-I (it has
+// no grounded-fill model) and runs ILP-II.
+func TestSessionGroundedILPIRejected(t *testing.T) {
+	l, err := GenerateT1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(l, Options{Window: 51200, R: 4, Rule: DefaultRuleT1T2(), Seed: 1, Grounded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ILPI); !errors.Is(err, core.ErrGroundedILPI) {
+		t.Fatalf("grounded ILP-I: %v, want ErrGroundedILPI", err)
+	}
+	if _, err := s.Run(ILPII); err != nil {
+		t.Fatalf("grounded ILP-II: %v", err)
 	}
 }
