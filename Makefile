@@ -4,9 +4,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X pilfill/internal/obs.Version=$(VERSION)"
 
-.PHONY: ci fmt vet bench-vet bench-check build test race fuzz-smoke cluster-smoke bench trace-smoke cluster-trace-smoke serve
+.PHONY: ci fmt vet linkcheck bench-vet bench-check build test race fuzz-smoke cluster-smoke bench trace-smoke cluster-trace-smoke serve
 
-ci: fmt vet bench-vet bench-check build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke
+ci: fmt vet linkcheck bench-vet bench-check build test race fuzz-smoke cluster-smoke trace-smoke cluster-trace-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -14,6 +14,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Every non-test function outside cmd/bench is linked into one of the eleven
+# binaries (the cmd/ tools, the examples and cmd/bench), or
+# testdata/unlinked.txt names its owner. Behind a build tag, so `go test ./...`
+# does not build the binaries.
+linkcheck:
+	$(GO) test -tags linkcheck -run '^TestLinkCheck$$' -count=1 .
 
 # cmd/bench is its own module (frozen benchmark driver), so ./... above never
 # compiles it: vet and test it here, so an API rename in the library breaks CI
@@ -48,8 +55,9 @@ race:
 
 # Run each fuzzer for FUZZTIME past its seed corpus: the DEF parser and
 # tokenizer (against the strings.Fields oracle), the LEF parser, the GDSII
-# reader, the pilfilld submit decoder, the cluster's region-payload merge and
-# write-ahead-log replay (open, append, reopen).
+# reader, the pilfilld submit decoder, the coordinator's chip submit handler,
+# the cluster's region-payload merge and write-ahead-log replay (open, append,
+# reopen).
 # go test fuzzes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -58,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lef
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/gds
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzChipSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeRegions$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime $(FUZZTIME) ./internal/jobqueue
 

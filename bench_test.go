@@ -27,7 +27,7 @@ func benchTableRow(b *testing.B, caseName string, w, r int, weighted bool) {
 	b.Helper()
 	var last *harness.Row
 	for i := 0; i < b.N; i++ {
-		row, err := harness.RunRow(caseName, w, r, weighted)
+		row, err := harness.RunRowObs(caseName, w, r, weighted, harness.Obs{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package pilfill
 import (
 	"strings"
 	"testing"
+
+	"pilfill/internal/testcases"
 )
 
 func smallSession(t *testing.T) *Session {
@@ -264,13 +266,13 @@ END DESIGN
 	}
 }
 
-// GenerateT3 is exercised through the internal spec; the facade exposes only
-// T1/T2, so this test reaches into the scale case via layoutgen's path.
+// The facade exposes only T1/T2, so this test generates the T3 scale case
+// from its internal spec, as cmd/layoutgen does.
 func TestScaleT3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("T3 scale test in short mode")
 	}
-	l, err := generateT3()
+	l, err := testcases.Generate(testcases.T3())
 	if err != nil {
 		t.Fatal(err)
 	}

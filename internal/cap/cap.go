@@ -45,23 +45,6 @@ var Default130 = Process{
 	AreaCapPerSqNm: 4e-26, // ~40 aF/um^2
 }
 
-// Validate reports whether the process parameters are physical.
-func (p Process) Validate() error {
-	if p.EpsR <= 0 {
-		return fmt.Errorf("cap: EpsR = %g, need > 0", p.EpsR)
-	}
-	if p.MetalHeight <= 0 {
-		return fmt.Errorf("cap: MetalHeight = %d, need > 0", p.MetalHeight)
-	}
-	if p.SheetRes <= 0 {
-		return fmt.Errorf("cap: SheetRes = %g, need > 0", p.SheetRes)
-	}
-	if p.AreaCapPerSqNm < 0 {
-		return fmt.Errorf("cap: AreaCapPerSqNm = %g, need >= 0", p.AreaCapPerSqNm)
-	}
-	return nil
-}
-
 // latConst returns eps0*epsR*h, the numerator of every lateral plate-cap
 // expression, in F (per meter of overlap, times meter of height already
 // folded in).

@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -96,6 +97,26 @@ func (j ChipJob) withDefaults() ChipJob {
 	return j
 }
 
+// Validate checks what a chip job can be checked for without loading or
+// generating its layout: the method, the layout source, the kernel and the
+// worker-side solve options. The submit handler and PrepareChip both run
+// it, so a defective job fails before it is queued or budgeted.
+func (j ChipJob) Validate() error {
+	if _, ok := server.ParseMethod(j.Method); !ok {
+		return fmt.Errorf("cluster: unknown method %q", j.Method)
+	}
+	if j.DEF == "" && (j.CellsX <= 0 || j.CellsY <= 0) {
+		return errors.New("cluster: chip job needs an inline def or cells_x/cells_y")
+	}
+	if _, err := ParseKernel(j.withDefaults().Kernel); err != nil {
+		return err
+	}
+	if _, err := j.Options.SessionOptions(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
+}
+
 // ParseKernel resolves the kernel spelling used by ChipJob and the CLIs.
 func ParseKernel(s string) (density.KernelKind, error) {
 	switch strings.ToLower(s) {
@@ -129,23 +150,22 @@ type Prep struct {
 // budgeting needs no RC analysis), run FFTBudget, and shard the budget into
 // region jobs.
 func PrepareChip(job ChipJob) (*Prep, error) {
-	j := job.withDefaults()
-	if _, ok := server.ParseMethod(j.Method); !ok {
-		return nil, fmt.Errorf("cluster: unknown method %q", j.Method)
+	if err := job.Validate(); err != nil {
+		return nil, err
 	}
+	j := job.withDefaults()
 
 	var (
 		l    *layout.Layout
 		rule = layout.FillRule{Feature: j.RuleFeatureNM, Gap: j.RuleGapNM, Buffer: j.RuleBufferNM}
 		err  error
 	)
-	switch {
-	case j.DEF != "":
+	if j.DEF != "" {
 		l, err = pilfill.LoadDEF(strings.NewReader(j.DEF))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: load chip layout: %w", err)
 		}
-	case j.CellsX > 0 && j.CellsY > 0:
+	} else {
 		spec := testcases.Chip(j.CellsX, j.CellsY)
 		if job.RuleFeatureNM == 0 && job.RuleGapNM == 0 && job.RuleBufferNM == 0 {
 			rule = spec.Rule
@@ -154,18 +174,13 @@ func PrepareChip(job ChipJob) (*Prep, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: generate chip: %w", err)
 		}
-	default:
-		return nil, fmt.Errorf("cluster: chip job needs an inline def or cells_x/cells_y")
 	}
 
 	dis, err := layout.NewDissection(l.Die, j.WindowNM, j.R)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dissection: %w", err)
 	}
-	kind, err := ParseKernel(j.Kernel)
-	if err != nil {
-		return nil, err
-	}
+	kind, _ := ParseKernel(j.Kernel) // checked by Validate
 	if j.Layer < 0 || j.Layer >= len(l.Layers) {
 		return nil, fmt.Errorf("cluster: layer %d out of range", j.Layer)
 	}

@@ -303,16 +303,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate cheaply up front so defective submissions fail with 400, not
-	// a Failed job: method, layout source and kernel are the usual typos.
-	if _, ok := server.ParseMethod(req.Job.Method); !ok {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("unknown method %q", req.Job.Method)})
-		return
-	}
-	if req.Job.DEF == "" && (req.Job.CellsX <= 0 || req.Job.CellsY <= 0) {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "chip job needs an inline def or cells_x/cells_y"})
-		return
-	}
-	if _, err := ParseKernel(req.Job.withDefaults().Kernel); err != nil {
+	// a Failed job after the whole budget has run.
+	if err := req.Job.Validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}

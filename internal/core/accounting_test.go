@@ -200,7 +200,7 @@ func TestInstancesErrorOnTruncatedTable(t *testing.T) {
 		t.Fatal("no attributed column with capacity > 1 in test layout")
 	}
 	truncated := cap.Table{W: testRule.Feature, D: spacing, Deltas: make([]float64, capacity)}
-	c.Preload(eng.Cfg.Proc, testRule.Feature, spacing, capacity, false, truncated)
+	c.Preload(cap.Default130, testRule.Feature, spacing, capacity, false, truncated)
 
 	if _, err := eng.Instances(budget); err == nil {
 		t.Fatal("Instances succeeded with a truncated capacitance table, want error")

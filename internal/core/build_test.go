@@ -54,8 +54,11 @@ func TestFreeRowsCenterOutMatchesSortOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Grid: grid, Occ: layout.NewOccupancy(&layout.Layout{}, grid, 0), Rule: rule}
+	// Each blocked site gets a 2 nm square at its center, which its own
+	// buffer-expanded feature square covers and no neighbor's does.
 	rng := rand.New(rand.NewSource(15))
+	want := make([]bool, grid.Cols*grid.Rows)
+	blockers := &layout.Net{}
 	for c := 0; c < grid.Cols; c++ {
 		p := rng.Float64()
 		switch c % 8 {
@@ -65,7 +68,18 @@ func TestFreeRowsCenterOutMatchesSortOrder(t *testing.T) {
 			p = 0 // fully free
 		}
 		for r := 0; r < grid.Rows; r++ {
-			e.Occ.SetBlocked(c, r, rng.Float64() < p)
+			if want[c*grid.Rows+r] = rng.Float64() < p; want[c*grid.Rows+r] {
+				at := geom.Point{X: grid.SiteCenterX(c), Y: grid.SiteY(r) + rule.Feature/2}
+				blockers.Segments = append(blockers.Segments, layout.Segment{A: at, B: at, Width: 2})
+			}
+		}
+	}
+	e := &Engine{Grid: grid, Occ: layout.NewOccupancy(&layout.Layout{Nets: []*layout.Net{blockers}}, grid, 0), Rule: rule}
+	for c := 0; c < grid.Cols; c++ {
+		for r := 0; r < grid.Rows; r++ {
+			if e.Occ.Blocked(c, r) != want[c*grid.Rows+r] {
+				t.Fatalf("site (%d,%d): blocked %v, want %v", c, r, e.Occ.Blocked(c, r), want[c*grid.Rows+r])
+			}
 		}
 	}
 	pitch := rule.Pitch()

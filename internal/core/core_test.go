@@ -75,13 +75,13 @@ func TestSolversSatisfyFillConstraint(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		in := synthInstance(rng, 2+rng.Intn(10))
 		solvers := map[string]func() (Assignment, error){
-			"normal":   func() (Assignment, error) { return SolveNormal(in, rng), nil },
-			"greedy":   func() (Assignment, error) { return SolveGreedy(in), nil },
-			"marginal": func() (Assignment, error) { return SolveMarginalGreedy(in), nil },
-			"dp":       func() (Assignment, error) { return SolveDP(in) },
-			"ilp1":     func() (Assignment, error) { return SolveILPI(in) },
+			"normal":   func() (Assignment, error) { return normalOf(in, rng), nil },
+			"greedy":   func() (Assignment, error) { return greedyOf(in), nil },
+			"marginal": func() (Assignment, error) { return marginalOf(in), nil },
+			"dp":       func() (Assignment, error) { return dpOf(in) },
+			"ilp1":     func() (Assignment, error) { return ilpIOf(in) },
 			"ilp2": func() (Assignment, error) {
-				a, _, err := SolveILPII(in, nil, nil)
+				a, _, err := ilpIIOf(in, nil, nil)
 				return a, err
 			},
 		}
@@ -101,16 +101,16 @@ func TestQuickILPIIMatchesDPOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := synthInstance(rng, 2+rng.Intn(7))
-		dpA, err := SolveDP(in)
+		dpA, err := dpOf(in)
 		if err != nil {
 			return false
 		}
-		ilpA, _, err := SolveILPII(in, nil, nil)
+		ilpA, _, err := ilpIIOf(in, nil, nil)
 		if err != nil {
 			return false
 		}
-		dpCost := in.Cost(dpA)
-		ilpCost := in.Cost(ilpA)
+		dpCost := costOf(in, dpA)
+		ilpCost := costOf(in, ilpA)
 		return math.Abs(dpCost-ilpCost) <= 1e-9*math.Max(dpCost, 1e-30)+1e-25
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -124,16 +124,16 @@ func TestQuickMarginalGreedyMatchesDPOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := synthInstance(rng, 2+rng.Intn(8))
-		dpA, err := SolveDP(in)
+		dpA, err := dpOf(in)
 		if err != nil {
 			return false
 		}
-		mgA := SolveMarginalGreedy(in)
+		mgA := marginalOf(in)
 		if in.Valid(mgA) != nil {
 			return false
 		}
-		dpCost := in.Cost(dpA)
-		mgCost := in.Cost(mgA)
+		dpCost := costOf(in, dpA)
+		mgCost := costOf(in, mgA)
 		return mgCost <= dpCost+1e-9*math.Max(dpCost, 1e-30)+1e-25
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -145,15 +145,15 @@ func TestQuickOptimumNeverWorseThanHeuristics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := synthInstance(rng, 2+rng.Intn(8))
-		dpA, err := SolveDP(in)
+		dpA, err := dpOf(in)
 		if err != nil {
 			return false
 		}
-		opt := in.Cost(dpA)
-		gA := SolveGreedy(in)
-		nA := SolveNormal(in, rng)
+		opt := costOf(in, dpA)
+		gA := greedyOf(in)
+		nA := normalOf(in, rng)
 		tol := 1e-9*math.Max(opt, 1e-30) + 1e-25
-		return in.Cost(gA) >= opt-tol && in.Cost(nA) >= opt-tol
+		return costOf(in, gA) >= opt-tol && costOf(in, nA) >= opt-tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestILPIOptimizesLinearSurrogate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		in := synthInstance(rng, 2+rng.Intn(6))
-		a, err := SolveILPI(in)
+		a, err := ilpIOf(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestGreedyPrefersCheapColumns(t *testing.T) {
 	expensive.RHatU, expensive.RHatW = 100, 100
 	free := ColumnVar{Col: &scanline.Column{Col: 0, Capacity: 5}, MaxM: 5, NetLow: -1, NetHigh: -1}
 	in := &Instance{F: 5, Columns: []ColumnVar{expensive, free}}
-	a := SolveGreedy(in)
+	a := greedyOf(in)
 	if a[1] != 5 || a[0] != 0 {
 		t.Fatalf("greedy chose %v, want all fill in the free column", a)
 	}
@@ -245,28 +245,28 @@ func TestDPTooLarge(t *testing.T) {
 	in := &Instance{F: DPMaxStates, Columns: make([]ColumnVar, 2)}
 	in.Columns[0] = ColumnVar{Col: &scanline.Column{}, MaxM: DPMaxStates, NetLow: -1, NetHigh: -1}
 	in.Columns[1] = ColumnVar{Col: &scanline.Column{}, MaxM: DPMaxStates, NetLow: -1, NetHigh: -1}
-	if _, err := SolveDP(in); err == nil {
+	if _, err := dpOf(in); err == nil {
 		t.Error("oversized DP accepted")
 	}
 }
 
 func TestEmptyInstance(t *testing.T) {
 	in := &Instance{F: 0}
-	if a := SolveGreedy(in); len(a) != 0 {
+	if a := greedyOf(in); len(a) != 0 {
 		t.Error("non-empty assignment for empty instance")
 	}
-	if a, _, err := SolveILPII(in, nil, nil); err != nil || len(a) != 0 {
+	if a, _, err := ilpIIOf(in, nil, nil); err != nil || len(a) != 0 {
 		t.Errorf("ILP-II on empty instance: %v %v", a, err)
 	}
-	if a, err := SolveILPI(in); err != nil || len(a) != 0 {
+	if a, err := ilpIOf(in); err != nil || len(a) != 0 {
 		t.Errorf("ILP-I on empty instance: %v %v", a, err)
 	}
 }
 
 func TestNormalDeterministicPerSeed(t *testing.T) {
 	in := synthInstance(rand.New(rand.NewSource(3)), 8)
-	a1 := SolveNormal(in, rand.New(rand.NewSource(9)))
-	a2 := SolveNormal(in, rand.New(rand.NewSource(9)))
+	a1 := normalOf(in, rand.New(rand.NewSource(9)))
+	a2 := normalOf(in, rand.New(rand.NewSource(9)))
 	for k := range a1 {
 		if a1[k] != a2[k] {
 			t.Fatal("same seed, different normal placement")
@@ -283,7 +283,7 @@ func TestILPIIWithNetCap(t *testing.T) {
 			continue
 		}
 		// Solve unconstrained, find per-net delay, then cap one net at half.
-		a0, _, err := SolveILPII(in, nil, nil)
+		a0, _, err := ilpIIOf(in, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestILPIIWithNetCap(t *testing.T) {
 			continue
 		}
 		capVal := worst / 2
-		a1, _, err := SolveILPII(in, nil, &NetCap{MaxAddedDelay: capVal})
+		a1, _, err := ilpIIOf(in, nil, &NetCap{MaxAddedDelay: capVal})
 		if err != nil {
 			// The cap can make the instance infeasible (not enough
 			// alternative capacity); that is a legitimate outcome.
@@ -339,7 +339,7 @@ func BenchmarkSolveDP(b *testing.B) {
 	in := synthInstance(rand.New(rand.NewSource(2)), 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveDP(in); err != nil {
+		if _, err := dpOf(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,7 +349,7 @@ func BenchmarkSolveILPII(b *testing.B) {
 	in := synthInstance(rand.New(rand.NewSource(2)), 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveILPII(in, nil, nil); err != nil {
+		if _, _, err := ilpIIOf(in, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,6 +359,6 @@ func BenchmarkSolveGreedy(b *testing.B) {
 	in := synthInstance(rand.New(rand.NewSource(2)), 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SolveGreedy(in)
+		_ = greedyOf(in)
 	}
 }

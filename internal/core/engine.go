@@ -67,7 +67,6 @@ type Config struct {
 	Layer    int          // routing layer to fill
 	Def      scanline.Def // slack-column definition (0 = DefIII)
 	Weighted bool         // optimize the sink-weighted objective
-	Proc     cap.Process  // electrical model (zero value = cap.Default130)
 	Seed     int64        // randomness for the Normal baseline
 	// ILPNodeLimit bounds the branch-and-bound nodes of each ILP-II tile
 	// that fails its hull certificate; 0 means ilp.DefaultMaxNodes.
@@ -209,12 +208,6 @@ func fanOut(workers, n int, fn func(i int)) {
 	fanOutOrder(workers, n, nil, func(_, i int) { fn(i) })
 }
 
-// fanOutWorker is fanOut exposing the worker index to fn — the tracer's
-// display lane, so concurrent tiles render on separate rows in a trace.
-func fanOutWorker(workers, n int, fn func(worker, i int)) {
-	fanOutOrder(workers, n, nil, fn)
-}
-
 // fanOutOrder runs fn over n items across workers, claiming items off a
 // single atomic counter (no feeder goroutine, no channel handoff per item).
 // A non-nil order remaps the claim sequence — claim c runs fn(w, order[c])
@@ -302,12 +295,6 @@ func NewEngine(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, c
 	if cfg.Def == 0 {
 		cfg.Def = scanline.DefIII
 	}
-	if cfg.Proc == (cap.Process{}) {
-		cfg.Proc = cap.Default130
-	}
-	if err := cfg.Proc.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	grid, err := layout.NewSiteGrid(l.Die, rule)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -322,7 +309,7 @@ func NewEngine(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, c
 	analyses := make([]*rc.Analysis, len(l.Nets))
 	errs := make([]error, len(l.Nets))
 	fanOut(cfg.Workers, len(l.Nets), func(i int) {
-		analyses[i], errs[i] = rc.Analyze(l.Nets[i], cfg.Proc)
+		analyses[i], errs[i] = rc.Analyze(l.Nets[i], cap.Default130)
 	})
 	analyzeSpan.End()
 	for i, err := range errs {
@@ -677,10 +664,11 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	return e.run(ctx, method, instances, nc)
 }
 
-// run is the engine's one tile loop, shared by RunContext, RunBudgeted and
-// RunMVDC: solve every instance under the per-net cap nc (nil: uncapped),
-// fanned out across Config.Workers and served from the memo where possible,
-// then evaluate, account and place in instance order.
+// run is the engine's one tile loop, shared by RunContext,
+// RunBudgetedContext and RunMVDCContext: solve every instance under the
+// per-net cap nc (nil: uncapped), fanned out across Config.Workers and
+// served from the memo where possible, then evaluate, account and place in
+// instance order.
 func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, nc *NetCap) (*Result, error) {
 	if method == ILPI && e.Cfg.Grounded {
 		return nil, ErrGroundedILPI

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -304,9 +305,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// Tight enough that some tiles branch and some fall back to the greedy.
 	netBudgets := eng.NetBudgets(0.01, 1e-21)
 	runs := map[string]func() (*Result, error){
-		"RunBudgeted": func() (*Result, error) { return eng.RunBudgeted(instances, netBudgets) },
+		"RunBudgeted": func() (*Result, error) { return eng.RunBudgetedContext(context.Background(), instances, netBudgets) },
 		"RunMVDC": func() (*Result, error) {
-			r, err := eng.RunMVDC(grid, 1e-15, 0.2, 0.5)
+			r, err := eng.RunMVDCContext(context.Background(), grid, 1e-15, 0.2, 0.5)
 			if err != nil {
 				return nil, err
 			}

@@ -13,7 +13,7 @@ import (
 // lower convex hull ĉ_k (ĉ_k <= c_k pointwise) gives the convexified
 // program, which the marginal sweep over the per-unit hull marginals solves
 // exactly (the same sweep, and the same (delta, column) tie-break, as
-// SolveMarginalGreedy). Its optimum Σ_k ĉ_k(a_k) is the root LP bound of
+// the marginal greedy). Its optimum Σ_k ĉ_k(a_k) is the root LP bound of
 // uncapped ILP-II: the indicator formulation's LP relaxation is exactly the
 // convexified program, and cap rows can only raise it. So it is a lower
 // bound on every tile's integer optimum, and ILP-II returns its warm-start
@@ -22,7 +22,7 @@ import (
 //
 // Floating-fill cost curves are convex, so every integer point is a hull
 // vertex, every hull edge is a unit step, and each hull marginal is the raw
-// cost difference SolveMarginalGreedy sweeps, bit for bit. On such a tile
+// cost difference the marginal greedy sweeps, bit for bit. On such a tile
 // the hull sweep is the marginal-greedy incumbent itself: ILP-II runs one
 // sweep, and an incumbent no cap repair changed costs exactly the bound.
 // Grounded-fill step curves can sit strictly above their hull; those tiles
@@ -37,7 +37,7 @@ import (
 // and the B&B path owns the infeasibility diagnosis. The assignment and the
 // arenas (read by hullAt) stay valid until the next sweep on this scratch.
 // The build polls the context once per column, the same granularity as
-// SolveDPContext's table fill; the only error is a cancelled context.
+// solveDP's table fill; the only error is a cancelled context.
 func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment, bool, error) {
 	kn := len(in.Columns)
 	sc.hullA = growZero(sc.hullA, kn)
@@ -105,7 +105,7 @@ func (sc *SolveScratch) hullSweep(ctx context.Context, in *Instance) (Assignment
 			i, j := int(hull[e-1]), int(hull[e])
 			// For unit edges (every edge of a convex curve) the division is
 			// by exactly 1.0, so the marginal is bit-equal to the plain
-			// cost difference SolveMarginalGreedy uses.
+			// cost difference the marginal greedy uses.
 			s := (cv.costAt(j) - cv.costAt(i)) / float64(j-i)
 			for m := i + 1; m <= j; m++ {
 				marg[pos+m] = s

@@ -34,25 +34,6 @@ func normalize(v []float64, rhs *float64) {
 	}
 }
 
-// SolveILPI is the paper's ILP-I (Eqs 10–14): one bounded integer variable
-// m_k per slack column, the Eq 6 *linearized* capacitance folded into a
-// per-feature cost, and the fill total as an equality. The linearization is
-// exactly the method's weakness the paper demonstrates: ILP-I optimizes the
-// linear surrogate, and the resulting placement is then measured with
-// the exact model (sometimes losing even to Normal fill).
-//
-// With a linear objective, one Σm = F row and box bounds, the program is a
-// continuous knapsack whose optimum is the ascending-slope pour, integral
-// because F and every bound are integers; so ILP-I is that pour, and no
-// program is built or searched.
-func SolveILPI(in *Instance) (Assignment, error) {
-	a := make(Assignment, len(in.Columns))
-	if err := NewSolveScratch().solveILPI(a, in); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // NetCap is the optional per-net bound on added (unweighted) delay within a
 // tile — the paper's "budgeted capacitance" future-work extension and the
 // safeguard suggested for Greedy's pathological cases.
@@ -95,35 +76,22 @@ type ilpiiVars struct {
 
 // ILPIIProgram is a built ILP-II instance: the MILP, the variable layout
 // needed to decode its solutions back into an Assignment, and a heuristic
-// incumbent for warm-starting. The incumbent comes from SolveMarginalGreedy
+// incumbent for warm-starting. The incumbent comes from the marginal greedy
 // — provably optimal for the convex floating-fill cost curves. The marginal
 // greedy ignores per-net delay-cap rows, so when caps are active the
 // incumbent is repaired against them (see repairIncumbent) before being
 // handed to the solver; exactly the hardest instances used to lose their
 // warm start here, because the solver validates incumbents and silently
-// ignores ones a cap row rejects. IncumbentRepaired/IncumbentDropped record
-// the outcome.
+// ignores ones a cap row rejects. The engine records the outcome in its
+// solve stats (see ilpiiIncumbent); a dropped incumbent leaves Incumbent nil.
 type ILPIIProgram struct {
 	P         *ilp.Problem
 	Incumbent []float64
-	// IncumbentRepaired reports that the marginal-greedy incumbent violated a
-	// per-net cap row and was repaired into cap feasibility before seeding
-	// the solver. IncumbentDropped reports that no repair could reach the
-	// fill total within the caps, so the search starts cold (Incumbent nil).
-	IncumbentRepaired bool
-	IncumbentDropped  bool
-	vars              []ilpiiVars
-	k                 int
+	vars      []ilpiiVars
 }
 
-// Decode maps a solution vector of P back to a per-column fill Assignment.
-func (g *ILPIIProgram) Decode(x []float64) Assignment {
-	a := make(Assignment, g.k)
-	g.decodeInto(a, x)
-	return a
-}
-
-// decodeInto is Decode writing into a caller-owned Assignment (length k).
+// decodeInto maps a solution vector of P back to a per-column fill
+// Assignment, writing into a caller-owned one (length k).
 func (g *ILPIIProgram) decodeInto(a Assignment, x []float64) {
 	for i, v := range g.vars {
 		a[i] = 0
@@ -141,7 +109,7 @@ func (g *ILPIIProgram) decodeInto(a Assignment, x []float64) {
 }
 
 // encodeInto maps an Assignment to a zeroed solution vector x of P (the
-// inverse of Decode), used to express the greedy incumbent in indicator
+// inverse of decodeInto), used to express the greedy incumbent in indicator
 // variables.
 func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 	for i, v := range g.vars {
@@ -153,7 +121,7 @@ func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 	}
 }
 
-// BuildILPII constructs the ILP-II program (Eqs 16–23) for an instance: the
+// buildILPII constructs the ILP-II program (Eqs 16–23) for an instance: the
 // fill count of each attributed column is expanded into binary indicator
 // variables m_{k,n} (exactly one n per column, Eq 18–19), so the exact
 // lookup-table cost f(n, d_k) enters the objective as constants (Eq 20).
@@ -166,24 +134,9 @@ func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 // we include the n = 0 indicator so columns may stay empty.
 //
 // If netCap is non-nil with a positive bound, extra rows limit each net's
-// total added unweighted delay inside the tile. Returns nil for trivial
-// (empty) instances.
-func BuildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
-	sc := NewSolveScratch()
-	inc := make(Assignment, len(in.Columns))
-	repaired, dropped := sc.ilpiiIncumbent(in, netCap, inc, nil)
-	if dropped {
-		inc = nil
-	}
-	g := sc.buildILPII(in, netCap, inc)
-	if g != nil {
-		g.IncumbentRepaired, g.IncumbentDropped = repaired, dropped
-	}
-	return g
-}
-
-// buildILPII is BuildILPII sourcing every slice from the scratch, seeded
-// with the given incumbent assignment (nil: the search starts cold).
+// total added unweighted delay inside the tile. Every slice comes from the
+// scratch; the program is seeded with the given incumbent assignment (nil:
+// the search starts cold). Returns nil for trivial (empty) instances.
 func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap, inc Assignment) *ILPIIProgram {
 	k := len(in.Columns)
 	if k == 0 || in.F == 0 {
@@ -276,7 +229,7 @@ func (sc *SolveScratch) buildILPII(in *Instance, netCap *NetCap, inc Assignment)
 	p.Constraints = cons
 	sc.cons = cons
 
-	sc.prog = ILPIIProgram{P: p, vars: vars, k: k}
+	sc.prog = ILPIIProgram{P: p, vars: vars}
 	g := &sc.prog
 	if inc != nil {
 		sc.inc = growZero(sc.inc, nv)
@@ -449,30 +402,21 @@ func (sc *SolveScratch) repairIncumbent(in *Instance, netCap *NetCap, a Assignme
 	return true, true
 }
 
-// SolveILPII is the paper's ILP-II: BuildILPII's program solved to proven
-// optimality. The (cap-repaired) marginal-greedy incumbent is first checked
-// against the hull bound; a certified tile returns it with an Optimal
-// solution of zero nodes and pivots, any other tile is branched warm-started
-// with it.
-func SolveILPII(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *ilp.Solution, error) {
-	sc := NewSolveScratch()
-	a := make(Assignment, len(in.Columns))
-	sol, _, err := sc.solveILPII(context.Background(), in, netCap, a, func() *ilp.Options { return sc.withOpts(opts) })
-	if err != nil {
-		return nil, sol, err
-	}
-	if sol == nil {
-		// A trivial or certified tile never reaches the searcher.
-		sol = &ilp.Solution{Status: ilp.Optimal}
-	}
-	return a, sol, nil
-}
-
-// solveILPI is SolveILPI writing into a zeroed Assignment. The keys are
-// the slopes scaled by normalize, the ILP-I program's objective: scaling
-// can merge two slopes into a tie, which the column index then breaks, so
-// the order is that program's own. The only error is a fill total above
-// the columns' capacity, which buildInstance's clamp rules out.
+// solveILPI is the paper's ILP-I (Eqs 10–14): one bounded integer variable
+// m_k per slack column, the Eq 6 *linearized* capacitance folded into a
+// per-feature cost, and the fill total as an equality. The linearization is
+// exactly the method's weakness the paper demonstrates: ILP-I optimizes the
+// linear surrogate, and the resulting placement is then measured with
+// the exact model (sometimes losing even to Normal fill).
+//
+// With a linear objective, one Σm = F row and box bounds, the program is a
+// continuous knapsack whose optimum is the ascending-slope pour, integral
+// because F and every bound are integers; so ILP-I is that pour, and no
+// program is built or searched. It writes into a zeroed Assignment. The
+// keys are the slopes scaled by normalize, the ILP-I program's objective:
+// scaling can merge two slopes into a tie, which the column index then
+// breaks, so the order is that program's own. The only error is a fill
+// total above the columns' capacity, which buildInstance's clamp rules out.
 func (sc *SolveScratch) solveILPI(a Assignment, in *Instance) error {
 	k := len(in.Columns)
 	if k == 0 {
@@ -494,8 +438,9 @@ func (sc *SolveScratch) solveILPI(a Assignment, in *Instance) error {
 	return nil
 }
 
-// solveILPII solves ILP-II on the scratch, writing the assignment into a
-// (zeroed, length == columns). It runs the hull sweep, writes the
+// solveILPII is the paper's ILP-II: buildILPII's program solved to proven
+// optimality on the scratch, writing the assignment into a (zeroed, length
+// == columns). It runs the hull sweep, writes the
 // (cap-repaired) marginal-greedy incumbent into a and accepts it when the
 // hull bound proves it optimal under the searcher's own root-prune rule;
 // otherwise it branches (branchILPII). On a convex tile the hull sweep is

@@ -223,7 +223,7 @@ func TestDualCertifiesCapModelCurves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		in := synthInstance(rng, 2+rng.Intn(8))
-		a, sol, err := SolveILPII(in, nil, nil)
+		a, sol, err := ilpIIOf(in, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,11 +233,11 @@ func TestDualCertifiesCapModelCurves(t *testing.T) {
 		if err := in.Valid(a); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dpA, err := SolveDP(in)
+		dpA, err := dpOf(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, opt := in.Cost(a), in.Cost(dpA)
+		c, opt := costOf(in, a), costOf(in, dpA)
 		if math.Abs(c-opt) > 1e-9*math.Max(opt, 1e-30)+1e-25 {
 			t.Fatalf("trial %d: ILP-II cost %g, DP optimum %g", trial, c, opt)
 		}
@@ -370,7 +370,7 @@ func dualSynthInstance(rng *rand.Rand, nCols int, convex bool) *Instance {
 // marginal-greedy assignment spends on it, so both cap-repaired warm starts
 // and caps the warm start already satisfies occur across trials.
 func dualRandomCaps(rng *rand.Rand, in *Instance) *NetCap {
-	inc := SolveMarginalGreedy(in)
+	inc := marginalOf(in)
 	spend := map[int]float64{}
 	for k, m := range inc {
 		cv := &in.Columns[k]
@@ -489,7 +489,7 @@ func requireSameOptimum(t *testing.T, label string, in *Instance, got, want *ilp
 // ilpIProgram is the paper's ILP-I program (Eqs 10–14) for an instance:
 // one bounded integer per column, the normalized linear slopes as the
 // objective and Σm = F as the only row; nil for a trivial instance.
-// SolveILPI builds no program, so this is its oracle.
+// solveILPI builds no program, so this is its oracle.
 func ilpIProgram(in *Instance) *ilp.Problem {
 	k := len(in.Columns)
 	if k == 0 || in.F == 0 {
@@ -511,10 +511,10 @@ func ilpIProgram(in *Instance) *ilp.Problem {
 
 // requireILPIIsOptimal solves a tile's ILP-I program unseeded with the
 // branch-and-bound searcher and with the row-based reference, requires the
-// two to agree, and holds SolveILPI to their optimum: an infeasible program
+// two to agree, and holds solveILPI to their optimum: an infeasible program
 // must make it fail, and on a proven optimum its normalized linear
 // objective must be within the searcher's 1e-9 root-prune threshold. It
-// returns SolveILPI's assignment and whether an optimum was proven.
+// returns solveILPI's assignment and whether an optimum was proven.
 func requireILPIIsOptimal(t *testing.T, label string, in *Instance, opts *ilp.Options) (Assignment, bool) {
 	t.Helper()
 	p := ilpIProgram(in)
@@ -527,10 +527,10 @@ func requireILPIIsOptimal(t *testing.T, label string, in *Instance, opts *ilp.Op
 		t.Fatal(err)
 	}
 	requireSameOptimum(t, label+" ILP-I", in, sol, ref)
-	a, err := SolveILPI(in)
+	a, err := ilpIOf(in)
 	if sol.Status == ilp.Infeasible {
 		if err == nil || err.Error() != "core: ILP-I: solver returned infeasible" {
-			t.Fatalf("%s tile (%d,%d): infeasible ILP-I program, SolveILPI err %v", label, in.I, in.J, err)
+			t.Fatalf("%s tile (%d,%d): infeasible ILP-I program, solveILPI err %v", label, in.I, in.J, err)
 		}
 		return nil, false
 	}
@@ -557,13 +557,13 @@ func requireILPIIsOptimal(t *testing.T, label string, in *Instance, opts *ilp.Op
 // independent references:
 //   - the unseeded branch-and-bound reaches the same status and objective
 //     as the row-based reference solver on the ILP-I program, and
-//     SolveILPI's slope pour matches that optimum within the root-prune
+//     solveILPI's slope pour matches that optimum within the root-prune
 //     threshold;
 //   - the seeded branch-and-bound (ILP-II seeded with marginal greedy)
 //     agrees with the row-based reference on the ILP-II program;
-//   - SolveILPII's (hull-certified) cost equals the decoded branch-and-bound
+//   - solveILPII's (hull-certified) cost equals the decoded branch-and-bound
 //     ILP-II optimum bitwise;
-//   - SolveILPII on the linearized tile equals SolveILPI's cost bitwise.
+//   - solveILPII on the linearized tile equals solveILPI's cost bitwise.
 func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 	_, instances := t1Tiles(t)
 	opts := ilp.Options{MaxNodes: 20000}
@@ -574,7 +574,7 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 		}
 		aI, okI := requireILPIIsOptimal(t, "T1/20/8", in, &opts)
 
-		g := BuildILPII(in, nil)
+		g, _, _ := warmILPII(in, nil)
 		o := opts
 		o.Incumbent = g.Incumbent
 		solII, err := ilp.Solve(g.P, &o)
@@ -590,15 +590,15 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 			continue // a node-limited solve pins no optimum
 		}
 
-		aII, _, err := SolveILPII(in, &opts, nil)
+		aII, _, err := ilpIIOf(in, &opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := canonCost(in, aII), canonCost(in, g.Decode(solII.X)); got != want {
+		if got, want := canonCost(in, aII), canonCost(in, decoded(g, solII.X)); got != want {
 			t.Fatalf("tile (%d,%d): certified ILP-II cost %g != B&B ILP-II optimum %g", in.I, in.J, got, want)
 		}
 		lin := linearized(in)
-		aLin, _, err := SolveILPII(lin, &opts, nil)
+		aLin, _, err := ilpIIOf(lin, &opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,7 +633,7 @@ func TestTableTilesMatchReferenceSolvers(t *testing.T) {
 	} {
 		a, _ := requireILPIIsOptimal(t, tc.name, tc.in, &opts)
 		if !slices.Equal(a, tc.want) {
-			t.Errorf("%s: SolveILPI %v, want %v", tc.name, a, tc.want)
+			t.Errorf("%s: solveILPI %v, want %v", tc.name, a, tc.want)
 		}
 	}
 }

@@ -121,15 +121,6 @@ func (in *Instance) Valid(a Assignment) error {
 	return nil
 }
 
-// Cost returns the optimization objective of an assignment (exact model).
-func (in *Instance) Cost(a Assignment) float64 {
-	c := 0.0
-	for k, m := range a {
-		c += in.Columns[k].costAt(m)
-	}
-	return c
-}
-
 // Evaluate returns the measured unweighted and weighted delay increases of
 // an assignment under the exact capacitance model: Σ r̂·ΔC(m) over the
 // columns, in column order. Each product is converted explicitly so the
@@ -169,7 +160,7 @@ func (in *Instance) Evaluate(a Assignment) (unweighted, weighted float64, err er
 func (e *Engine) buildInstance(in *Instance, i, j, want int, cols []ColumnVar, curves []float64) error {
 	tc := &e.Tiles[i][j]
 	analyses := e.Analyses
-	proc := e.Cfg.Proc
+	proc := cap.Default130
 	rule := e.Rule
 	weighted := e.Cfg.Weighted
 	// switchFactor returns the Miller multiplier seen by a victim whose

@@ -105,7 +105,7 @@ func TestInstancesLeaveTablesUntouched(t *testing.T) {
 					if cv.DeltaC == nil {
 						continue
 					}
-					tbl := eng.cache.Table(eng.Cfg.Proc, eng.Rule.Feature, cv.Col.Spacing(), int(cv.Col.Capacity), eng.Cfg.Grounded)
+					tbl := eng.cache.Table(captable.Default130, eng.Rule.Feature, cv.Col.Spacing(), int(cv.Col.Capacity), eng.Cfg.Grounded)
 					if &tbl.Deltas[0] != &cv.DeltaC[0] || cap(cv.DeltaC) != cv.MaxM+1 {
 						t.Fatalf("tile (%d,%d) column %d: DeltaC is not a capped view of the cached table", in.I, in.J, k)
 					}
@@ -127,10 +127,10 @@ func TestInstancesLeaveTablesUntouched(t *testing.T) {
 				}
 			}
 			eng.Cfg.NetCap = 0
-			if _, err := eng.RunBudgeted(instances, netBudgets); err != nil {
+			if _, err := eng.RunBudgetedContext(context.Background(), instances, netBudgets); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.RunMVDC(c.grid, 1e-15, 0.2, 0.5); err != nil {
+			if _, err := eng.RunMVDCContext(context.Background(), c.grid, 1e-15, 0.2, 0.5); err != nil {
 				t.Fatal(err)
 			}
 
@@ -173,9 +173,9 @@ func oracleCurves(e *Engine, cv *ColumnVar) oracleColumn {
 	}
 	capacity := int(col.Capacity)
 	x := e.Grid.SiteCenterX(int(col.Col))
-	tbl := e.Cfg.Proc.BuildTable(e.Rule.Feature, col.Spacing(), capacity)
+	tbl := captable.Default130.BuildTable(e.Rule.Feature, col.Spacing(), capacity)
 	if e.Cfg.Grounded {
-		tbl = e.Cfg.Proc.BuildGroundedTable(e.Rule.Feature, col.Spacing(), capacity)
+		tbl = captable.Default130.BuildGroundedTable(e.Rule.Feature, col.Spacing(), capacity)
 	}
 	rhatU, rhatW := 0.0, 0.0
 	if col.HasLow() {

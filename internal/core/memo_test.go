@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -224,7 +225,7 @@ func TestMemoKeyedOnNetCap(t *testing.T) {
 	var coldV [2]*Result
 	for pass := 0; pass < 2; pass++ {
 		for v, nb := range vecs {
-			r, err := budgeted.RunBudgeted(instances, nb)
+			r, err := budgeted.RunBudgetedContext(context.Background(), instances, nb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +290,7 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 	runs := map[string]runFunc{
 		// Budgets tight enough that some tiles branch and some fall back.
 		"RunBudgeted": func(e *Engine, ins []*Instance) (*Result, error) {
-			return e.RunBudgeted(ins, e.NetBudgets(0.01, 1e-21))
+			return e.RunBudgetedContext(context.Background(), ins, e.NetBudgets(0.01, 1e-21))
 		},
 	}
 	for _, m := range []Method{Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped} {

@@ -17,7 +17,7 @@ import (
 // it. The key observation making this tractable is that each tile's
 // delay-versus-fill frontier is the marginal-greedy pick sequence: cost
 // curves are convex and separable, so the cheapest way to place f features
-// is always the first f picks of SolveMarginalGreedy, and the largest
+// is always the first f picks of the marginal greedy, and the largest
 // affordable f is where the accumulated cost crosses the budget.
 
 // FillFrontier is a tile's optimal delay-versus-fill trade-off: Picks[i] is
@@ -55,20 +55,16 @@ type MVDCResult struct {
 	TileBudgetS float64        // the per-tile delay budget applied
 }
 
-// RunMVDC solves the minimum-variation-with-delay-constraint problem: every
-// tile may add at most tileDelayBudget (seconds, in the configured
-// objective) of delay impact; within that constraint the minimum window
-// density is pushed as high as possible (toward targetMin, bounded above by
-// maxDensity). Placement within each tile follows that tile's optimal fill
-// frontier, so the delay spent for any fill amount is minimal.
-func (e *Engine) RunMVDC(grid *density.Grid, tileDelayBudget, targetMin, maxDensity float64) (*MVDCResult, error) {
-	return e.RunMVDCContext(context.Background(), grid, tileDelayBudget, targetMin, maxDensity)
-}
-
-// RunMVDCContext is RunMVDC with cancellation: the context is checked at
-// every tile boundary of both the frontier-construction and placement
-// passes, so a cancelled or deadline-expired context stops the work and
-// returns an error wrapping ctx.Err().
+// RunMVDCContext solves the minimum-variation-with-delay-constraint
+// problem: every tile may add at most tileDelayBudget (seconds, in the
+// configured objective) of delay impact; within that constraint the minimum
+// window density is pushed as high as possible (toward targetMin, bounded
+// above by maxDensity). Placement within each tile follows that tile's
+// optimal fill frontier, so the delay spent for any fill amount is minimal.
+// The context is checked at every tile boundary of both the
+// frontier-construction and placement passes, so a cancelled or
+// deadline-expired context stops the work and returns an error wrapping
+// ctx.Err().
 func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDelayBudget, targetMin, maxDensity float64) (*MVDCResult, error) {
 	if tileDelayBudget < 0 {
 		return nil, fmt.Errorf("core: negative delay budget %g", tileDelayBudget)
@@ -159,20 +155,14 @@ func (e *Engine) NetBudgets(fraction, minBudget float64) []float64 {
 	return out
 }
 
-// RunBudgeted places the instances with ILP-II under per-net delay budgets:
-// each net's total added unweighted delay within a tile is bounded by its
-// budget divided evenly across the tiles it borders (a conservative split,
-// since budgets are per net but tiles are solved independently). Every
+// RunBudgetedContext places the instances with ILP-II under per-net delay
+// budgets: each net's total added unweighted delay within a tile is bounded
+// by its budget divided evenly across the tiles it borders (a conservative
+// split, since budgets are per net but tiles are solved independently). Every
 // budget must be positive. Tiles the caps make infeasible fall back to the
 // budget-respecting greedy, placing as much as fits, so Placed may trail
-// Requested.
-func (e *Engine) RunBudgeted(instances []*Instance, netBudgets []float64) (*Result, error) {
-	return e.RunBudgetedContext(context.Background(), instances, netBudgets)
-}
-
-// RunBudgetedContext is RunBudgeted with cancellation, under the same
-// contract as RunContext: a cancelled context aborts the run and never
-// triggers the greedy fallback.
+// Requested. Cancellation follows RunContext's contract: a cancelled
+// context aborts the run and never triggers the greedy fallback.
 func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, netBudgets []float64) (*Result, error) {
 	if len(netBudgets) != len(e.L.Nets) {
 		return nil, fmt.Errorf("core: %d net budgets for %d nets", len(netBudgets), len(e.L.Nets))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -27,11 +28,11 @@ func TestFrontierMatchesDPPrefixwise(t *testing.T) {
 		for probe := 0; probe < 4; probe++ {
 			n := rng.Intn(len(fr.Picks) + 1)
 			inN := &Instance{I: in.I, J: in.J, F: n, Columns: in.Columns}
-			dpA, err := SolveDP(inN)
+			dpA, err := dpOf(inN)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := inN.Cost(dpA)
+			want := costOf(inN, dpA)
 			got := 0.0
 			if n > 0 {
 				got = fr.Cost[n-1]
@@ -80,7 +81,7 @@ func TestMaxFill(t *testing.T) {
 }
 
 // TestMarginalGreedyMatchesFrontierPrefix pins the equivalence RunMVDC
-// places through: the marginal greedy (SolveMarginalGreedy's solve, here on
+// places through: the marginal greedy (solveMarginalGreedy, here on
 // one warm scratch) at F = n assigns exactly the frontier's first n picks,
 // for every n, on synthetic tiles and on every buildEngine tile at full
 // capacity.
@@ -131,12 +132,12 @@ func TestRunMVDC(t *testing.T) {
 	grid := density.NewGrid(eng.L, eng.Dis, eng.Occ, 0)
 
 	// A generous budget should reach (nearly) the unconstrained target.
-	loose, err := eng.RunMVDC(grid, 1e-3, 0.2, 0.5)
+	loose, err := eng.RunMVDCContext(context.Background(), grid, 1e-3, 0.2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A zero budget can only use free (unattributed) slack.
-	tight, err := eng.RunMVDC(grid, 0, 0.2, 0.5)
+	tight, err := eng.RunMVDCContext(context.Background(), grid, 0, 0.2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +157,10 @@ func TestRunMVDC(t *testing.T) {
 	}
 
 	// Errors.
-	if _, err := eng.RunMVDC(grid, -1, 0.2, 0.5); err == nil {
+	if _, err := eng.RunMVDCContext(context.Background(), grid, -1, 0.2, 0.5); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := eng.RunMVDC(grid, 1, 0, 0.5); err == nil {
+	if _, err := eng.RunMVDCContext(context.Background(), grid, 1, 0, 0.5); err == nil {
 		t.Error("zero target accepted")
 	}
 }
@@ -214,7 +215,7 @@ func TestRunBudgeted(t *testing.T) {
 
 	// Generous budgets: behaves like plain ILP-II.
 	generous := eng.NetBudgets(10, 1e-12)
-	res, err := eng.RunBudgeted(instances, generous)
+	res, err := eng.RunBudgetedContext(context.Background(), instances, generous)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestRunBudgeted(t *testing.T) {
 
 	// Tiny budgets: per-net delays must shrink accordingly.
 	tiny := eng.NetBudgets(0, 1e-21) // ~zero for every net
-	resT, err := eng.RunBudgeted(instances, tiny)
+	resT, err := eng.RunBudgetedContext(context.Background(), instances, tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestRunBudgeted(t *testing.T) {
 		}
 	}
 	// Mismatched length errors.
-	if _, err := eng.RunBudgeted(instances, []float64{1}); err == nil {
+	if _, err := eng.RunBudgetedContext(context.Background(), instances, []float64{1}); err == nil {
 		t.Error("short budget vector accepted")
 	}
 	// A budget that is not positive (zero, negative or NaN) errors naming
@@ -244,7 +245,7 @@ func TestRunBudgeted(t *testing.T) {
 	for _, b := range []float64{0, -1e-15, math.NaN()} {
 		budgets := eng.NetBudgets(10, 1e-12)
 		budgets[bad] = b
-		_, err := eng.RunBudgeted(instances, budgets)
+		_, err := eng.RunBudgetedContext(context.Background(), instances, budgets)
 		if err == nil {
 			t.Fatalf("budget %g accepted", b)
 		}
@@ -331,7 +332,7 @@ func TestCappedGreedyMatchesPerNetReference(t *testing.T) {
 				cv.REffHigh = rng.Float64() * 500
 			}
 		}
-		full := SolveGreedy(in)
+		full := greedyOf(in)
 		spend := make([]float64, nets)
 		for k, m := range full {
 			cv := &in.Columns[k]

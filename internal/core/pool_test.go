@@ -66,20 +66,20 @@ func freshScratchReference(t *testing.T, eng *Engine, m Method, instances []*Ins
 		var err error
 		switch m {
 		case Normal:
-			a = SolveNormal(in, rand.New(rand.NewSource(eng.normalSeed(in))))
+			a = normalOf(in, rand.New(rand.NewSource(eng.normalSeed(in))))
 		case Greedy:
-			a = SolveGreedy(in)
+			a = greedyOf(in)
 		case MarginalGreedy:
-			a = SolveMarginalGreedy(in)
+			a = marginalOf(in)
 		case GreedyCapped:
 			a = make(Assignment, len(in.Columns))
 			NewSolveScratch().solveGreedyCapped(a, in, nc)
 		case DP:
-			a, err = SolveDP(in)
+			a, err = dpOf(in)
 		case ILPI:
-			a, err = SolveILPI(in)
+			a, err = ilpIOf(in)
 		case ILPII:
-			a, sol, err = SolveILPII(in, &ilp.Options{MaxNodes: eng.Cfg.ILPNodeLimit}, nc)
+			a, sol, err = ilpIIOf(in, &ilp.Options{MaxNodes: eng.Cfg.ILPNodeLimit}, nc)
 		}
 		if err != nil {
 			t.Fatalf("%v tile (%d,%d): %v", m, in.I, in.J, err)

@@ -39,17 +39,17 @@ func TestRepairIncumbentRestoresFeasibility(t *testing.T) {
 	in := repairInstance()
 	// Net 0 may absorb 2e-15 s: greedy's all-four-in-column-0 spends 4e-15.
 	nc := &NetCap{PerNet: []float64{2e-15, 1}}
-	g := BuildILPII(in, nc)
+	g, repaired, dropped := warmILPII(in, nc)
 	if g == nil {
 		t.Fatal("trivial program")
 	}
-	if !g.IncumbentRepaired || g.IncumbentDropped {
-		t.Fatalf("repaired=%v dropped=%v, want repaired", g.IncumbentRepaired, g.IncumbentDropped)
+	if !repaired || dropped {
+		t.Fatalf("repaired=%v dropped=%v, want repaired", repaired, dropped)
 	}
 	if g.Incumbent == nil {
 		t.Fatal("repaired incumbent not encoded")
 	}
-	a := g.Decode(g.Incumbent)
+	a := decoded(g, g.Incumbent)
 	if err := in.Valid(a); err != nil {
 		t.Fatalf("repaired incumbent invalid: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestRepairIncumbentRestoresFeasibility(t *testing.T) {
 	if sol.Status != ilp.Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	best := g.Decode(sol.X)
+	best := decoded(g, sol.X)
 	if err := in.Valid(best); err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRepairIncumbentDropsWhenUnsatisfiable(t *testing.T) {
 	in.Columns = in.Columns[:1] // only the capped column remains
 	in.F = 2
 	nc := &NetCap{PerNet: []float64{1e-18}}
-	g := BuildILPII(in, nc)
+	g, _, dropped := warmILPII(in, nc)
 	if g == nil {
 		t.Fatal("trivial program")
 	}
-	if !g.IncumbentDropped {
+	if !dropped {
 		t.Error("unsatisfiable caps did not drop the incumbent")
 	}
 	if g.Incumbent != nil {
@@ -98,12 +98,12 @@ func TestRepairIncumbentDropsWhenUnsatisfiable(t *testing.T) {
 func TestRepairIncumbentNoChangeWhenFeasible(t *testing.T) {
 	in := repairInstance()
 	nc := &NetCap{PerNet: []float64{1, 1}} // generous: greedy already fits
-	g := BuildILPII(in, nc)
+	g, repaired, dropped := warmILPII(in, nc)
 	if g == nil {
 		t.Fatal("trivial program")
 	}
-	if g.IncumbentRepaired || g.IncumbentDropped {
-		t.Errorf("repaired=%v dropped=%v on a feasible incumbent", g.IncumbentRepaired, g.IncumbentDropped)
+	if repaired || dropped {
+		t.Errorf("repaired=%v dropped=%v on a feasible incumbent", repaired, dropped)
 	}
 	if g.Incumbent == nil {
 		t.Error("feasible incumbent not encoded")
@@ -220,7 +220,7 @@ func TestRepairIncumbentMatchesReference(t *testing.T) {
 		if in.F == 0 || len(in.Columns) == 0 {
 			continue
 		}
-		inc := SolveMarginalGreedy(in)
+		inc := marginalOf(in)
 		// Cap each net at a random fraction of what the incumbent spends on
 		// it, so shed (and often refill or drop) paths all get exercised.
 		spent := map[int]float64{}
@@ -329,7 +329,7 @@ func TestRunILPIIUnderPlacesInfeasibleCappedTile(t *testing.T) {
 	instances := placeableRepairTiles(1)
 	in := instances[0]
 	nc := &NetCap{MaxAddedDelay: netCap}
-	if _, _, err := SolveILPII(in, nil, nc); err == nil {
+	if _, _, err := ilpIIOf(in, nil, nc); err == nil {
 		t.Fatal("ILP-II found a full assignment within the caps; the tile is not infeasible")
 	}
 	want := make(Assignment, len(in.Columns))

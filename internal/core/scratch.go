@@ -20,9 +20,9 @@ import (
 // goroutines ever share one. Everything built in a scratch (problems,
 // incumbents, solutions) is overwritten by the next tile solved on it.
 //
-// The scratch methods are the only tile-solve implementation: the exported
-// BuildILPII/Solve* functions run them on a fresh scratch, so a
-// one-off solve and a warm engine run execute the same code.
+// The scratch methods are the only tile-solve implementation: the engine's
+// tile loop runs them, and so do the tests, on a fresh scratch when they
+// need a one-off solve.
 type SolveScratch struct {
 	searcher ilp.Searcher
 	opts     ilp.Options // per-tile options copy (Incumbent/Progress wiring)

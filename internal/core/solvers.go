@@ -39,18 +39,11 @@ func wholeColumnKeys(keys []costKey, in *Instance) []costKey {
 	return keys
 }
 
-// SolveNormal emulates the performance-oblivious baseline: the prescribed
+// solveNormal emulates the performance-oblivious baseline: the prescribed
 // number of features is spread uniformly at random over the tile's free
 // sites (each site equally likely), exactly as a density-only fill tool
-// would. The rng seed makes runs reproducible.
-func SolveNormal(in *Instance, rng *rand.Rand) Assignment {
-	a := make(Assignment, len(in.Columns))
-	NewSolveScratch().solveNormal(a, in, rng)
-	return a
-}
-
-// solveNormal is SolveNormal writing into a zeroed Assignment, sampling over
-// the scratch's slot buffer.
+// would. The rng seed makes runs reproducible. It writes into a zeroed
+// Assignment, sampling over the scratch's slot buffer.
 func (sc *SolveScratch) solveNormal(a Assignment, in *Instance, rng *rand.Rand) {
 	total := in.TotalCapacity()
 	if in.F <= 0 || total == 0 {
@@ -74,17 +67,10 @@ func (sc *SolveScratch) solveNormal(a Assignment, in *Instance, rng *rand.Rand) 
 	}
 }
 
-// SolveGreedy is Fig 8's method: columns are sorted by the delay cost of
+// solveGreedy is Fig 8's method: columns are sorted by the delay cost of
 // filling them completely (r̂_k · ΔC(C_k)), and fill is poured into whole
-// columns in ascending cost order until the budget is exhausted.
-func SolveGreedy(in *Instance) Assignment {
-	a := make(Assignment, len(in.Columns))
-	NewSolveScratch().solveGreedy(a, in)
-	return a
-}
-
-// solveGreedy is SolveGreedy writing into a zeroed Assignment, sorting in
-// the scratch's key buffer.
+// columns in ascending cost order until the budget is exhausted. It writes
+// into a zeroed Assignment, sorting in the scratch's key buffer.
 func (sc *SolveScratch) solveGreedy(a Assignment, in *Instance) {
 	sc.keys = wholeColumnKeys(sc.keys, in)
 	pour(a, in, sc.keys)
@@ -212,7 +198,7 @@ func (h marginalHeap) down(i int) {
 // sweepPollEvery is the sweep's cancellation-poll cadence in heap pops.
 const sweepPollEvery = 4096
 
-// sweep is the one marginal sweep behind SolveMarginalGreedy, the hull
+// sweep is the one marginal sweep behind the marginal greedy, the hull
 // bound and Frontier: it places up to in.F features into a (zeroed), one
 // at a time, always into the column whose next per-unit marginal is
 // cheapest (lowest column index on ties). marg[off[k]+m] is the marginal of
@@ -266,21 +252,14 @@ func (sc *SolveScratch) sweep(ctx context.Context, in *Instance, a Assignment, m
 	return placed, nil
 }
 
-// SolveMarginalGreedy places one feature at a time, always into the column
-// with the cheapest marginal cost. Because every exact cost curve is convex
+// solveMarginalGreedy places one feature at a time, always into the column
+// with the cheapest marginal cost: the sweep over the raw cost differences,
+// writing into a zeroed Assignment. Because every exact cost curve is convex
 // in m (ΔC(m) = ε·a/(d−m·w) − C_B has increasing differences), this greedy
 // is provably optimal for the MDFC objective — it serves as the ablation
 // reference showing the paper's whole-column Greedy loses only through its
-// coarser granularity.
-func SolveMarginalGreedy(in *Instance) Assignment {
-	a := make(Assignment, len(in.Columns))
-	NewSolveScratch().solveMarginalGreedy(a, in, nil)
-	return a
-}
-
-// solveMarginalGreedy is SolveMarginalGreedy writing into a zeroed
-// Assignment: the sweep over the raw cost differences. A non-nil fr also
-// records each pick and the accumulated cost after it (see Frontier).
+// coarser granularity. A non-nil fr also records each pick and the
+// accumulated cost after it (see Frontier).
 func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance, fr *FillFrontier) {
 	// A background context never cancels, so the sweep cannot fail.
 	sc.sweep(context.Background(), in, a, nil, nil, fr)
@@ -289,28 +268,14 @@ func (sc *SolveScratch) solveMarginalGreedy(a Assignment, in *Instance, fr *Fill
 // DPMaxStates bounds the dynamic program's table size (columns × budget).
 const DPMaxStates = 50_000_000
 
-// SolveDP computes the exact optimum by dynamic programming over columns:
+// solveDP computes the exact optimum by dynamic programming over columns:
 // dp[f] = min cost to place f features in the columns seen so far. It is
 // pseudo-polynomial — O(K·F·maxM) time, O(F) space — and is used as the
-// optimality reference in tests and ablations.
-func SolveDP(in *Instance) (Assignment, error) {
-	return SolveDPContext(context.Background(), in)
-}
-
-// SolveDPContext is SolveDP with cancellation: the context is polled once
-// per column (the outer loop of the table fill), bounding the work after a
-// cancel to one column's O(F·maxM) row.
-func SolveDPContext(ctx context.Context, in *Instance) (Assignment, error) {
-	a := make(Assignment, len(in.Columns))
-	if err := NewSolveScratch().solveDP(ctx, a, in); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// solveDP is the DP table fill writing into a caller-owned Assignment,
-// sourcing the dp rows and the choice table (choice[k][f] = m chosen for
-// column k at budget f) from the scratch.
+// optimality reference in tests and ablations. It writes into a
+// caller-owned Assignment, sourcing the dp rows and the choice table
+// (choice[k][f] = m chosen for column k at budget f) from the scratch. The
+// context is polled once per column (the outer loop of the table fill),
+// bounding the work after a cancel to one column's O(F·maxM) row.
 func (sc *SolveScratch) solveDP(ctx context.Context, a Assignment, in *Instance) error {
 	kn := len(in.Columns)
 	if int64(kn)*int64(in.F+1) > DPMaxStates {

@@ -130,12 +130,6 @@ func (g *Grid) Stats(fill Budget) (minD, maxD float64) {
 	return minD, maxD
 }
 
-// Variation returns max - min window density under a fill budget.
-func (g *Grid) Variation(fill Budget) float64 {
-	minD, maxD := g.Stats(fill)
-	return maxD - minD
-}
-
 // StatsWithAreas returns min/max window density when the added fill is given
 // as an exact per-tile area map (e.g. layout.FillSet.TileFillAreas) instead
 // of a feature-count budget.
@@ -396,19 +390,4 @@ func (h *windowHeap) pop() {
 	h.pos[h.heap[last]] = -1
 	h.heap = h.heap[:last]
 	h.down(0)
-}
-
-// CheckBudget verifies a budget respects per-tile slack.
-func (g *Grid) CheckBudget(b Budget) error {
-	for i := range b {
-		for j := range b[i] {
-			if b[i][j] < 0 {
-				return fmt.Errorf("density: tile (%d,%d) negative budget %d", i, j, b[i][j])
-			}
-			if b[i][j] > g.TileSlack[i][j] {
-				return fmt.Errorf("density: tile (%d,%d) budget %d exceeds slack %d", i, j, b[i][j], g.TileSlack[i][j])
-			}
-		}
-	}
-	return nil
 }

@@ -116,7 +116,7 @@ func TestFFTBudgetLiftsEffectiveMin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.CheckBudget(budget); err != nil {
+		if err := checkBudget(g, budget); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if achieved < target-1e-9 {

@@ -127,34 +127,6 @@ func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d]", r.X1, r.Y1, r.X2, r.Y2)
 }
 
-// Interval is a half-open 1-D span [Lo, Hi).
-type Interval struct {
-	Lo, Hi int64
-}
-
-// Empty reports whether iv spans no points.
-func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
-
-// Len returns the length of iv (0 if empty).
-func (iv Interval) Len() int64 {
-	if iv.Empty() {
-		return 0
-	}
-	return iv.Hi - iv.Lo
-}
-
-// Intersect returns the overlap of iv and other (possibly empty).
-func (iv Interval) Intersect(other Interval) Interval {
-	out := Interval{max64(iv.Lo, other.Lo), min64(iv.Hi, other.Hi)}
-	if out.Empty() {
-		return Interval{}
-	}
-	return out
-}
-
-// Contains reports whether x lies in iv.
-func (iv Interval) Contains(x int64) bool { return x >= iv.Lo && x < iv.Hi }
-
 // Overlap returns the length of the intersection of [a1,a2) and [b1,b2).
 func Overlap(a1, a2, b1, b2 int64) int64 {
 	lo := max64(a1, b1)

@@ -124,26 +124,6 @@ func TestContainsRect(t *testing.T) {
 	}
 }
 
-func TestIntervalBasics(t *testing.T) {
-	iv := Interval{3, 8}
-	if iv.Len() != 5 {
-		t.Errorf("Len = %d, want 5", iv.Len())
-	}
-	if !iv.Contains(3) || iv.Contains(8) {
-		t.Error("half-open containment violated")
-	}
-	got := iv.Intersect(Interval{5, 12})
-	if got != (Interval{5, 8}) {
-		t.Errorf("Intersect = %v, want {5 8}", got)
-	}
-	if !iv.Intersect(Interval{8, 12}).Empty() {
-		t.Error("touching intervals should not intersect")
-	}
-	if (Interval{5, 5}).Len() != 0 {
-		t.Error("empty interval should have zero length")
-	}
-}
-
 func TestOverlap(t *testing.T) {
 	cases := []struct {
 		a1, a2, b1, b2, want int64
@@ -216,6 +196,8 @@ func TestQuickAreaInclusionExclusionBound(t *testing.T) {
 	}
 }
 
+// TestQuickOverlapMatchesIntervalIntersect holds Overlap to the width of the
+// intersection of two unit-height rectangles spanning the intervals.
 func TestQuickOverlapMatchesIntervalIntersect(t *testing.T) {
 	f := func(a1, a2, b1, b2 int16) bool {
 		lo1, hi1 := int64(a1), int64(a2)
@@ -226,8 +208,8 @@ func TestQuickOverlapMatchesIntervalIntersect(t *testing.T) {
 		if lo2 > hi2 {
 			lo2, hi2 = hi2, lo2
 		}
-		iv := Interval{lo1, hi1}.Intersect(Interval{lo2, hi2})
-		return Overlap(lo1, hi1, lo2, hi2) == iv.Len()
+		iv := (Rect{lo1, 0, hi1, 1}).Intersect(Rect{lo2, 0, hi2, 1})
+		return Overlap(lo1, hi1, lo2, hi2) == iv.Area()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -96,14 +96,10 @@ type Obs struct {
 	SlowTile time.Duration // per-tile solve warn threshold; 0 off
 }
 
-// RunRow executes one table row: prep the layout at (W, r), budget the fill,
-// and run all four methods on the identical budget. weighted selects the
-// Table 2 objective (and τ column).
-func RunRow(caseName string, w, r int, weighted bool) (*Row, error) {
-	return RunRowObs(caseName, w, r, weighted, Obs{})
-}
-
-// RunRowObs is RunRow with observability hooks threaded into the engine.
+// RunRowObs executes one table row: prep the layout at (W, r), budget the
+// fill, and run all four methods on the identical budget, with the
+// observability hooks in ob (zero: none) threaded into the engine. weighted
+// selects the Table 2 objective (and τ column).
 func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 	l, rule, err := layoutFor(caseName)
 	if err != nil {
@@ -168,19 +164,6 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 		return nil, err
 	}
 	return row, nil
-}
-
-// RunTable executes the full 12-row grid.
-func RunTable(weighted bool) ([]*Row, error) {
-	rows := make([]*Row, 0, len(Grid))
-	for _, g := range Grid {
-		row, err := RunRow(g.Case, g.W, g.R, weighted)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // PrintTable renders rows in the paper's layout. τ is reported in

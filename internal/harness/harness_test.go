@@ -96,7 +96,7 @@ func TestFigSlackOrdering(t *testing.T) {
 }
 
 func TestRunRowUnknownCase(t *testing.T) {
-	if _, err := RunRow("T9", 32, 2, false); err == nil {
+	if _, err := RunRowObs("T9", 32, 2, false, Obs{}); err == nil {
 		t.Error("unknown case accepted")
 	}
 }
@@ -107,7 +107,7 @@ func TestRunRowShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full row in short mode")
 	}
-	row, err := RunRow("T1", 20, 8, false)
+	row, err := RunRowObs("T1", 20, 8, false, Obs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,13 +284,6 @@ type Searcher struct {
 	sol  Solution   // reusable result
 }
 
-// NewSearcher returns an empty reusable branch-and-bound searcher.
-func NewSearcher() *Searcher { return &Searcher{} }
-
-// Stats returns the searcher's underlying LP workspace counters (cumulative
-// solves and pivots across every node LP this searcher has run).
-func (s *Searcher) Stats() lp.WorkspaceStats { return s.ws.Stats() }
-
 // reset prepares the searcher for a new problem, reusing every buffer.
 func (s *Searcher) reset(p *Problem) {
 	s.p = p

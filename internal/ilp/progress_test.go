@@ -94,28 +94,3 @@ func TestProgressUnchangedSearch(t *testing.T) {
 		t.Fatalf("progress changed the search: %+v vs %+v", plain, observed)
 	}
 }
-
-// TestWorkspaceStats: the lp workspace's cumulative counters agree with the
-// per-solve pivot totals the ilp layer reports.
-func TestWorkspaceStats(t *testing.T) {
-	ws := lp.NewWorkspace()
-	total := 0
-	for i := 0; i < 3; i++ {
-		sol, err := ws.Solve(&lp.Problem{
-			NumVars:     2,
-			Objective:   []float64{-1, -2},
-			Constraints: []lp.Constraint{{Coeffs: []float64{1, 1}, Op: lp.LE, RHS: 4}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += sol.Pivots
-	}
-	st := ws.Stats()
-	if st.Solves != 3 {
-		t.Fatalf("Solves = %d, want 3", st.Solves)
-	}
-	if st.Pivots != total {
-		t.Fatalf("Pivots = %d, want %d", st.Pivots, total)
-	}
-}

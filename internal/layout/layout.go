@@ -283,13 +283,13 @@ func NewSiteGrid(die geom.Rect, rule FillRule) (*SiteGrid, error) {
 }
 
 // siteCount returns the number of sites of the given feature and pitch
-// along a span of the given length.
+// along a span of the given length: 0 when the span is shorter than one
+// feature.
 func siteCount(span, feature, pitch int64) int64 {
-	n := (span - feature) / pitch
-	if n < 0 {
+	if span < feature {
 		return 0
 	}
-	return n + 1
+	return (span-feature)/pitch + 1
 }
 
 // SiteRect returns the feature square of site (c, r).
@@ -393,29 +393,12 @@ func (o *Occupancy) Blocked(c, r int) bool {
 	return o.blocked[c*o.Grid.Rows+r]
 }
 
-// setBlocked marks a site; used by tests and by fill insertion to make
-// placed fill block subsequent passes.
-func (o *Occupancy) SetBlocked(c, r int, v bool) {
-	o.blocked[c*o.Grid.Rows+r] = v
-}
-
 // FreeInColumn counts free sites in column c with row in [rLo, rHi).
 func (o *Occupancy) FreeInColumn(c, rLo, rHi int) int {
 	n := 0
 	base := c * o.Grid.Rows
 	for r := rLo; r < rHi; r++ {
 		if !o.blocked[base+r] {
-			n++
-		}
-	}
-	return n
-}
-
-// FreeSites returns the total number of free sites.
-func (o *Occupancy) FreeSites() int {
-	n := 0
-	for _, b := range o.blocked {
-		if !b {
 			n++
 		}
 	}
@@ -432,12 +415,6 @@ type FillSet struct {
 	Grid  *SiteGrid
 	Layer int
 	Fills []Fill
-}
-
-// Area returns the total drawn fill area.
-func (fs *FillSet) Area() int64 {
-	f := fs.Grid.Rule.Feature
-	return int64(len(fs.Fills)) * f * f
 }
 
 // FeatureAreaInRect returns the drawn wire area of the layer inside r,

@@ -281,8 +281,12 @@ func TestOccupancy(t *testing.T) {
 	if blockedCount == 0 {
 		t.Fatal("expected some blocked sites")
 	}
-	if occ.FreeSites() != g.Cols*g.Rows-blockedCount {
-		t.Errorf("FreeSites = %d, want %d", occ.FreeSites(), g.Cols*g.Rows-blockedCount)
+	free := 0
+	for c := 0; c < g.Cols; c++ {
+		free += occ.FreeInColumn(c, 0, g.Rows)
+	}
+	if free != g.Cols*g.Rows-blockedCount {
+		t.Errorf("free sites = %d, want %d", free, g.Cols*g.Rows-blockedCount)
 	}
 }
 
@@ -290,8 +294,8 @@ func TestFreeInColumn(t *testing.T) {
 	die := geom.Rect{X1: 0, Y1: 0, X2: 4000, Y2: 4000}
 	g, _ := NewSiteGrid(die, FillRule{Feature: 300, Gap: 100})
 	occ := &Occupancy{Grid: g, blocked: make([]bool, g.Cols*g.Rows)}
-	occ.SetBlocked(2, 3, true)
-	occ.SetBlocked(2, 5, true)
+	occ.blocked[2*g.Rows+3] = true
+	occ.blocked[2*g.Rows+5] = true
 	if got := occ.FreeInColumn(2, 0, g.Rows); got != g.Rows-2 {
 		t.Errorf("FreeInColumn = %d, want %d", got, g.Rows-2)
 	}
@@ -320,6 +324,56 @@ func TestSiteGridInt32Bound(t *testing.T) {
 		}
 		if err == nil && (int64(g.Cols) != c.cols || int64(g.Rows) != c.rows) {
 			t.Fatalf("grid = %dx%d, want %dx%d", g.Cols, g.Rows, c.cols, c.rows)
+		}
+	}
+}
+
+// TestSiteGridShortAxis: an axis shorter than one feature holds no site,
+// even when it is longer than feature - pitch (truncating the negative
+// (span-feature)/pitch toward zero used to give it one, outside the die).
+func TestSiteGridShortAxis(t *testing.T) {
+	rule := FillRule{Feature: 300, Gap: 100}
+	for _, c := range []struct {
+		die        geom.Rect
+		cols, rows int
+	}{
+		{geom.Rect{X2: 100, Y2: 100}, 0, 0},
+		{geom.Rect{X2: 299, Y2: 1000}, 0, 2},
+		{geom.Rect{X2: 300, Y2: 299}, 1, 0},
+		{geom.Rect{X2: 300, Y2: 300}, 1, 1},
+	} {
+		g, err := NewSiteGrid(c.die, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Cols != c.cols || g.Rows != c.rows {
+			t.Errorf("die %v: grid %dx%d, want %dx%d", c.die, g.Cols, g.Rows, c.cols, c.rows)
+		}
+	}
+}
+
+// TestQuickSitesInsideDie: on random dies and rules every site's feature
+// square lies inside the die (the grid is uniform, so its two corner sites
+// bound all of them), and one more column or row would not.
+func TestQuickSitesInsideDie(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		rule := FillRule{Feature: 1 + rng.Int63n(500), Gap: rng.Int63n(300)}
+		x1, y1 := rng.Int63n(2001)-1000, rng.Int63n(2001)-1000
+		die := geom.Rect{X1: x1, Y1: y1, X2: x1 + 1 + rng.Int63n(4000), Y2: y1 + 1 + rng.Int63n(4000)}
+		g, err := NewSiteGrid(die, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Cols > 0 && g.Rows > 0 {
+			for _, s := range []geom.Rect{g.SiteRect(0, 0), g.SiteRect(g.Cols-1, g.Rows-1)} {
+				if !die.ContainsRect(s) {
+					t.Fatalf("die %v, rule %+v: site %v leaves the die", die, rule, s)
+				}
+			}
+		}
+		if die.ContainsRect(g.SiteRect(g.Cols, 0)) || die.ContainsRect(g.SiteRect(0, g.Rows)) {
+			t.Fatalf("die %v, rule %+v: grid %dx%d misses a site inside the die", die, rule, g.Cols, g.Rows)
 		}
 	}
 }
@@ -364,9 +418,6 @@ func TestFillSetTileAreas(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &FillSet{Grid: g, Layer: 0, Fills: []Fill{{0, 0}, {1, 1}, {10, 10}}}
-	if fs.Area() != 3*300*300 {
-		t.Errorf("Area = %d", fs.Area())
-	}
 	areas := fs.TileFillAreas(d)
 	var total int64
 	for i := range areas {
@@ -374,8 +425,8 @@ func TestFillSetTileAreas(t *testing.T) {
 			total += areas[i][j]
 		}
 	}
-	if total != fs.Area() {
-		t.Errorf("tile fill areas sum %d != %d", total, fs.Area())
+	if total != 3*300*300 {
+		t.Errorf("tile fill areas sum %d != %d", total, 3*300*300)
 	}
 	// Site (10,10) starts at 4000,4000 -> tile (2,2).
 	if areas[2][2] != 300*300 {

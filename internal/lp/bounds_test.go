@@ -178,7 +178,7 @@ func TestReducedCostsOrientation(t *testing.T) {
 }
 
 func TestWorkspaceReuse(t *testing.T) {
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 50; iter++ {
 		p := randomBoundedLP(rng)
@@ -342,7 +342,7 @@ func BenchmarkSimplex(b *testing.B) {
 		}
 	})
 	b.Run("workspace", func(b *testing.B) {
-		ws := NewWorkspace()
+		ws := &Workspace{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ws.Solve(p); err != nil {

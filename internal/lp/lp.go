@@ -217,25 +217,10 @@ type Workspace struct {
 	colRows  []int       // scratch per-variable constraint-occurrence count
 	crash    []int       // scratch per-constraint crash column, -1 if none
 	pivots   int
-	stats    WorkspaceStats
 	x        []float64 // reusable Solution.X buffer
 	rc       []float64 // reusable Solution.ReducedCosts buffer
 	sol      Solution  // reusable Solution, overwritten per Solve
 }
-
-// WorkspaceStats are cumulative counters across every Solve on one
-// workspace — the LP-level work measure behind the ilp progress callback
-// and the observability layer's pivot counters.
-type WorkspaceStats struct {
-	Solves int // completed Solve calls (≈ branch-and-bound nodes when driven by ilp)
-	Pivots int // simplex iterations (pivots and bound flips) summed over those solves
-}
-
-// Stats returns the workspace's cumulative solve/pivot counters.
-func (ws *Workspace) Stats() WorkspaceStats { return ws.stats }
-
-// NewWorkspace returns an empty reusable workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Solve optimizes the problem with a throwaway workspace. The returned error
 // is non-nil only for malformed problems or numeric breakdown; infeasibility
@@ -273,25 +258,16 @@ func growOp(s []Op, n int) []Op {
 	return s[:n]
 }
 
-// Solve optimizes the problem reusing the workspace's buffers. The returned
-// Solution (and its X/ReducedCosts slices) is workspace-owned and valid only
-// until the next Solve on this workspace; see the Workspace doc.
-func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
-	sol, err := ws.solve(p)
-	if sol != nil {
-		ws.stats.Solves++
-		ws.stats.Pivots += sol.Pivots
-	}
-	return sol, err
-}
-
 // result stores sol in the workspace's reusable Solution and returns it.
 func (ws *Workspace) result(sol Solution) (*Solution, error) {
 	ws.sol = sol
 	return &ws.sol, nil
 }
 
-func (ws *Workspace) solve(p *Problem) (*Solution, error) {
+// Solve optimizes the problem reusing the workspace's buffers. The returned
+// Solution (and its X/ReducedCosts slices) is workspace-owned and valid only
+// until the next Solve on this workspace; see the Workspace doc.
+func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

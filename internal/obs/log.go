@@ -1,10 +1,8 @@
 // log.go builds the process-wide structured logger: log/slog with a
-// text or JSON handler, a flag-friendly level parser, and a no-op logger
-// for tests and disabled paths.
+// text or JSON handler and a flag-friendly level parser.
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -37,16 +35,3 @@ func NewLogger(w io.Writer, level slog.Level, format string) *slog.Logger {
 	}
 	return slog.New(slog.NewTextHandler(w, opts))
 }
-
-// discardHandler drops every record without formatting it (slog's own
-// DiscardHandler arrived after Go 1.22, which this module targets).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// Nop returns a logger whose handler reports disabled at every level, so
-// call sites pay only the Enabled check.
-func Nop() *slog.Logger { return slog.New(discardHandler{}) }

@@ -15,7 +15,9 @@
 package rc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pilfill/internal/cap"
@@ -134,7 +136,7 @@ func Analyze(net *layout.Net, proc cap.Process) (*Analysis, error) {
 				cuts = append(cuts, along)
 			}
 		}
-		sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
+		slices.Sort(cuts)
 		for i := 0; i+1 < len(cuts); i++ {
 			lo, hi := cuts[i], cuts[i+1]
 			if lo == hi {
@@ -258,9 +260,9 @@ func Analyze(net *layout.Net, proc cap.Process) (*Analysis, error) {
 		}
 		segs[e.segIdx].pieces = append(segs[e.segIdx].pieces, pc)
 	}
+	// A segment's pieces have distinct lo, so the order is total.
 	for si := range segs {
-		ps := segs[si].pieces
-		sort.Slice(ps, func(a, b int) bool { return ps[a].lo < ps[b].lo })
+		slices.SortFunc(segs[si].pieces, func(a, b piece) int { return cmp.Compare(a.lo, b.lo) })
 	}
 
 	return &Analysis{
@@ -312,19 +314,4 @@ func (a *Analysis) DeltaDelay(segIdx int, t int64, deltaC float64, weighted bool
 		d *= float64(sinks)
 	}
 	return d
-}
-
-// MaxUpstreamRes returns the largest upstream resistance over all segment
-// ends — a bound useful for normalizing greedy orderings in tests.
-func (a *Analysis) MaxUpstreamRes() float64 {
-	worst := 0.0
-	for si := range a.Segs {
-		for _, pc := range a.Segs[si].pieces {
-			r := pc.driveR + a.Segs[si].PerUnitRes*float64(pc.hi-pc.lo)
-			if r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst
 }

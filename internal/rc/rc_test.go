@@ -494,14 +494,21 @@ func TestDeltaDelay(t *testing.T) {
 	}
 }
 
+// TestMaxUpstreamRes: the largest upstream resistance over all piece ends
+// of a straight net is the whole wire's resistance.
 func TestMaxUpstreamRes(t *testing.T) {
 	a, err := Analyze(straightNet(), proc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := proc.WireResistance(10000, 200)
-	if got := a.MaxUpstreamRes(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("MaxUpstreamRes = %g, want %g", got, want)
+	worst := 0.0
+	for si := range a.Segs {
+		for _, pc := range a.Segs[si].pieces {
+			worst = math.Max(worst, pc.driveR+a.Segs[si].PerUnitRes*float64(pc.hi-pc.lo))
+		}
+	}
+	if want := proc.WireResistance(10000, 200); math.Abs(worst-want) > 1e-9 {
+		t.Errorf("max upstream resistance = %g, want %g", worst, want)
 	}
 }
 
@@ -526,5 +533,19 @@ func BenchmarkAnalyzeTee(b *testing.B) {
 		if _, err := Analyze(n, proc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAnalyzeAllocs bounds Analyze's allocations on a multi-segment net: the
+// cut and piece sorts allocate nothing (sort.Slice allocated a swapper for
+// each, 38 allocations in all on this net).
+func TestAnalyzeAllocs(t *testing.T) {
+	n := teeNet()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := Analyze(n, proc); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 28 {
+		t.Errorf("Analyze on a %d-segment net: %v allocations, want <= 28", len(n.Segments), got)
 	}
 }

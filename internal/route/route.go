@@ -95,12 +95,3 @@ func Trunk(source layout.Pin, sinks []layout.Pin, hLayer, vLayer int, width int6
 	}
 	return segs, nil
 }
-
-// WireLength returns the total centerline length of a route.
-func WireLength(segs []layout.Segment) int64 {
-	var total int64
-	for _, s := range segs {
-		total += s.Length()
-	}
-	return total
-}

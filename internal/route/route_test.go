@@ -67,8 +67,12 @@ func TestWireLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := WireLength(segs); got != 1500 {
-		t.Errorf("WireLength = %d, want 1500", got)
+	var got int64
+	for _, s := range segs {
+		got += s.Length()
+	}
+	if got != 1500 {
+		t.Errorf("wire length = %d, want 1500", got)
 	}
 }
 

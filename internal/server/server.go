@@ -254,9 +254,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"status", sw.status, "dur", time.Since(start))
 }
 
-// Queue exposes the underlying queue (stats, direct submission in tests).
-func (s *Server) Queue() *jobqueue.Queue { return s.q }
-
 // Shutdown drains the queue under ctx's deadline: new submissions are
 // rejected with 503, running and queued jobs finish (or are cancelled when
 // ctx expires). The HTTP listener itself is the caller's to close — keep it

@@ -477,9 +477,5 @@ func (s *Session) SaveSVG(w io.Writer, fill *layout.FillSet) error {
 // boundaries where the optimizer accounted per tile, its totals are an
 // upper bound on (and normally very close to) the engine's.
 func (s *Session) TimingReport(rep *Report) (*timing.Report, error) {
-	return timing.Analyze(s.Layout, rep.Result.Fill, s.Opts.Rule, s.Engine.Cfg.Proc)
+	return timing.Analyze(s.Layout, rep.Result.Fill, s.Opts.Rule, cap.Default130)
 }
-
-// generateT3 builds the internal large stress testcase (used by scale tests
-// and cmd/layoutgen; not part of the paper's grid).
-func generateT3() (*layout.Layout, error) { return testcases.Generate(testcases.T3()) }

@@ -10,6 +10,7 @@ import (
 
 	"pilfill/internal/core"
 	"pilfill/internal/density"
+	"pilfill/internal/geom"
 	"pilfill/internal/layout"
 )
 
@@ -245,5 +246,41 @@ func TestSessionGroundedILPIRejected(t *testing.T) {
 	}
 	if _, err := s.Run(ILPII); err != nil {
 		t.Fatalf("grounded ILP-II: %v", err)
+	}
+}
+
+// TestZeroSiteDie: a die shorter than one fill feature has no site. The
+// engine builds on the empty grid; a session with the probed target fails
+// with a clear error (no site, no density to probe), and one with an
+// explicit target runs and places nothing.
+func TestZeroSiteDie(t *testing.T) {
+	l := &layout.Layout{Name: "tiny", Die: geom.Rect{X2: 100, Y2: 100}, Layers: []layout.Layer{{Name: "M1"}}}
+	rule := layout.FillRule{Feature: 300, Gap: 100}
+	dis, err := layout.NewDissection(l.Die, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(l, dis, rule, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Grid.Cols != 0 || eng.Grid.Rows != 0 {
+		t.Fatalf("grid %dx%d, want 0x0", eng.Grid.Cols, eng.Grid.Rows)
+	}
+	if _, err := NewSession(l, Options{Window: 100, R: 1, Rule: rule}); err == nil {
+		t.Error("probed target on a zero-site die accepted")
+	}
+	s, err := NewSession(l, Options{Window: 100, R: 1, Rule: rule, TargetMinDensity: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{Normal, Greedy, ILPII} {
+		rep, err := s.Run(m)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if n := len(rep.Result.Fill.Fills); n != 0 {
+			t.Errorf("%v placed %d features on a zero-site die", m, n)
+		}
 	}
 }
