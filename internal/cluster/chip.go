@@ -98,9 +98,10 @@ func (j ChipJob) withDefaults() ChipJob {
 }
 
 // Validate checks what a chip job can be checked for without loading or
-// generating its layout: the method, the layout source, the kernel and the
-// worker-side solve options. The submit handler and PrepareChip both run
-// it, so a defective job fails before it is queued or budgeted.
+// generating its layout: the method, the layout source, the kernel, the
+// dissection, the fill rule, the density targets, the non-negative knobs
+// and the worker-side solve options. The submit handler and PrepareChip both
+// run it, so a defective job fails before it is queued or budgeted.
 func (j ChipJob) Validate() error {
 	if _, ok := server.ParseMethod(j.Method); !ok {
 		return fmt.Errorf("cluster: unknown method %q", j.Method)
@@ -108,8 +109,20 @@ func (j ChipJob) Validate() error {
 	if j.DEF == "" && (j.CellsX <= 0 || j.CellsY <= 0) {
 		return errors.New("cluster: chip job needs an inline def or cells_x/cells_y")
 	}
-	if _, err := ParseKernel(j.withDefaults().Kernel); err != nil {
+	d := j.withDefaults()
+	if _, err := ParseKernel(d.Kernel); err != nil {
 		return err
+	}
+	switch {
+	case j.GX < 0 || j.GY < 0 || j.Layer < 0 || j.TimeoutMS < 0:
+		return fmt.Errorf("cluster: negative gx %d, gy %d, layer %d or timeout_ms %d", j.GX, j.GY, j.Layer, j.TimeoutMS)
+	case d.WindowNM <= 0 || d.R <= 0 || d.WindowNM%int64(d.R) != 0:
+		return fmt.Errorf("cluster: window_nm %d is not a positive multiple of r %d", d.WindowNM, d.R)
+	case !(d.TargetMin > 0 && d.TargetMin < d.MaxDensity && d.MaxDensity <= 1):
+		return fmt.Errorf("cluster: want 0 < target_min %g < max_density %g <= 1", d.TargetMin, d.MaxDensity)
+	}
+	if err := (layout.FillRule{Feature: d.RuleFeatureNM, Gap: d.RuleGapNM, Buffer: d.RuleBufferNM}).Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if _, err := j.Options.SessionOptions(); err != nil {
 		return fmt.Errorf("cluster: %w", err)

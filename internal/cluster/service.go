@@ -1,15 +1,18 @@
 // service.go is pilfill-coord's serve mode: a small HTTP layer that accepts
 // whole-chip jobs, runs them through the Coordinator on a bounded job queue,
 // and exposes their state. Chip jobs are durable the same way worker jobs
-// are: keyed submissions are WAL-logged (chips.wal, next to the
-// coordinator's regions.wal) and unfinished ones are resubmitted on restart
-// — where they pick their finished regions back up from the region WAL and
-// re-scatter only the rest.
+// are, through the same jobqueue.Queue.OpenLog: keyed submissions are
+// WAL-logged (chips.wal, next to the coordinator's regions.wal) and
+// unfinished ones are resubmitted on restart — where they pick their
+// finished regions back up from the region WAL and re-scatter only the
+// rest. Submit, list, get and cancel answer through pilfilld's code
+// (server.SubmitStatus, ListPage, Lookup, Cancel), so their status codes are
+// the same.
 //
 //	POST   /v1/chips               submit a chip job       -> 202 ChipView (200 on key dedupe)
 //	GET    /v1/chips               list jobs               -> 200 ChipListResponse (?limit=, ?after=)
 //	GET    /v1/chips/{id}          job state + report      -> 200 ChipView
-//	DELETE /v1/chips/{id}          cancel                  -> 200 ChipView
+//	DELETE /v1/chips/{id}          cancel                  -> 200 ChipView (409 if finished)
 //	GET    /v1/chips/{id}/progress live aggregated progress-> 200 chip progress
 //	GET    /v1/chips/{id}/events   progress stream (SSE; ends with a terminal event)
 //	GET    /v1/chips/{id}/trace    merged multi-process Chrome trace (collect_trace chips)
@@ -20,13 +23,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,15 +50,9 @@ type ChipSubmitRequest struct {
 
 // ChipView is the wire form of one chip job.
 type ChipView struct {
-	ID        string        `json:"id"`
-	Key       string        `json:"key,omitempty"`
-	State     string        `json:"state"`
-	Phase     string        `json:"phase,omitempty"`
-	Submitted time.Time     `json:"submitted"`
-	Started   *time.Time    `json:"started,omitempty"`
-	Finished  *time.Time    `json:"finished,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Report    *MergedReport `json:"report,omitempty"`
+	server.JobState
+	Key    string        `json:"key,omitempty"`
+	Report *MergedReport `json:"report,omitempty"`
 }
 
 // ChipListResponse is the response of GET /v1/chips; NextAfter is the
@@ -86,14 +84,12 @@ type ServiceConfig struct {
 type Service struct {
 	coord *Coordinator
 	q     *jobqueue.Queue
-	wal   *jobqueue.WAL
 	log   *slog.Logger
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	ready atomic.Bool
 
 	mu   sync.Mutex
-	keys map[string]string   // job id -> submission key, for the done record
 	runs map[string]*ChipRun // job id -> live/terminal observability state
 
 	// drainCh is closed when the service stops being ready, so open SSE
@@ -117,57 +113,42 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		coord:   cfg.Coordinator,
 		log:     cfg.Logger,
 		reg:     cfg.Registry,
-		keys:    make(map[string]string),
 		runs:    make(map[string]*ChipRun),
 		drainCh: make(chan struct{}),
 	}
 	s.ready.Store(true)
 	qcfg := cfg.Queue
-	qcfg.OnFinish = s.chipFinished
 	if qcfg.Logger == nil {
 		qcfg.Logger = cfg.Logger
 	}
 	s.q = jobqueue.New(qcfg)
 
 	if cfg.DataDir != "" {
-		wal, recs, err := jobqueue.OpenWAL(filepath.Join(cfg.DataDir, "chips.wal"))
-		if err != nil {
-			s.q.Shutdown(context.Background())
-			return nil, err
-		}
-		s.wal = wal
-		if err := s.replay(recs); err != nil {
+		if err := s.q.OpenLog(filepath.Join(cfg.DataDir, "chips.wal"), s.replay); err != nil {
 			s.q.Shutdown(context.Background())
 			return nil, err
 		}
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/chips", func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes)
-		s.handleSubmit(w, r)
-	})
+	mux.HandleFunc("POST /v1/chips", server.LimitBody(cfg.MaxBodyBytes, s.handleSubmit))
 	mux.HandleFunc("GET /v1/chips", s.handleList)
-	mux.HandleFunc("GET /v1/chips/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/chips/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/chips/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if snap, ok := server.Lookup(w, r, s.q); ok {
+			server.WriteJSON(w, http.StatusOK, s.viewOf(snap))
+		}
+	})
+	mux.HandleFunc("DELETE /v1/chips/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if snap, ok := server.Cancel(w, r, s.q); ok {
+			server.WriteJSON(w, http.StatusOK, s.viewOf(snap))
+		}
+	})
 	mux.HandleFunc("GET /v1/chips/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /v1/chips/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/chips/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if s.q.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "draining"})
-			return
-		}
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() || s.q.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "not ready"})
-			return
-		}
-		w.Write([]byte("ok\n"))
-	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { server.WriteStatus(w, !s.q.Draining()) })
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { server.WriteStatus(w, s.ready.Load() && !s.q.Draining()) })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.reg.Write(w)
@@ -205,15 +186,11 @@ func (s *Service) drain() <-chan struct{} {
 	return s.drainCh
 }
 
-// Shutdown drains the chip queue and closes the WAL; open event streams are
-// released first.
+// Shutdown drains the chip queue, which closes its WAL; open event streams
+// are released first.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.SetReady(false)
-	err := s.q.Shutdown(ctx)
-	if werr := s.wal.Close(); err == nil {
-		err = werr
-	}
-	return err
+	return s.q.Shutdown(ctx)
 }
 
 // chipTask wraps one chip job for the queue, feeding its ChipRun.
@@ -231,19 +208,6 @@ func (s *Service) chipTask(job ChipJob, run *ChipRun) jobqueue.Task {
 	}
 }
 
-// registerRun indexes a chip's ChipRun by job ID and sweeps entries the
-// queue no longer remembers, so the map tracks queue retention.
-func (s *Service) registerRun(id string, run *ChipRun) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for old := range s.runs {
-		if _, err := s.q.Get(old); err != nil {
-			delete(s.runs, old)
-		}
-	}
-	s.runs[id] = run
-}
-
 // runOf returns the ChipRun for a job ID, nil when unknown.
 func (s *Service) runOf(id string) *ChipRun {
 	s.mu.Lock()
@@ -251,132 +215,70 @@ func (s *Service) runOf(id string) *ChipRun {
 	return s.runs[id]
 }
 
-// chipFinished is the queue's OnFinish hook: the WAL done record. Cancelled
-// chips stay unfinished in the log so a restart resubmits them (the region
-// WAL makes the rerun cheap).
-func (s *Service) chipFinished(snap jobqueue.Snapshot) {
-	s.mu.Lock()
-	key := s.keys[snap.ID]
-	delete(s.keys, snap.ID)
-	s.mu.Unlock()
-	if key == "" || snap.State == jobqueue.Cancelled {
-		return
+// replay resubmits one logged chip request a previous process accepted but
+// never finished; an error marks it done (see jobqueue.Queue.OpenLog).
+func (s *Service) replay(key string, payload json.RawMessage) error {
+	req, err := decodeChip(bytes.NewReader(payload))
+	if err != nil {
+		return err
 	}
-	if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: key}); err != nil {
-		s.logWarn("chip wal done append failed", "key", key, "err", err)
-	}
+	req.Key = key
+	_, _, err = s.submit(req, "")
+	return err
 }
 
-// replay resubmits every accepted-but-unfinished chip from the WAL.
-func (s *Service) replay(recs []jobqueue.WALRecord) error {
-	for _, rec := range jobqueue.WALUnfinished(recs) {
-		var req ChipSubmitRequest
-		if err := json.Unmarshal(rec.Payload, &req); err != nil {
-			// A payload this process can no longer parse would wedge every
-			// startup; mark it done and move on.
-			s.logWarn("dropping unreadable chip wal record", "key", rec.Key, "err", err)
-			if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: rec.Key}); err != nil {
-				return err
-			}
-			continue
-		}
-		run := NewChipRun("", req.Job.CollectTrace)
-		snap, deduped, err := s.q.SubmitKeyed(s.chipTask(req.Job, run), jobqueue.SubmitOptions{Key: rec.Key, Trace: run.TraceID})
-		if err != nil {
-			return fmt.Errorf("cluster: replay chip %s: %w", rec.Key, err)
-		}
-		if !deduped {
-			s.mu.Lock()
-			s.keys[snap.ID] = rec.Key
-			s.runs[snap.ID] = run
-			s.mu.Unlock()
-			s.logInfo("replayed chip job", "key", rec.Key, "id", snap.ID, "trace", run.TraceID)
+// decodeChip parses a POST /v1/chips body strictly and validates its job
+// cheaply, so a defective submission fails with 400, not as a Failed job
+// after the whole budget has run.
+func decodeChip(r io.Reader) (*ChipSubmitRequest, error) {
+	var req ChipSubmitRequest
+	if err := server.DecodeStrict(r, &req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if err := req.Job.Validate(); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// submit queues a chip request under its key, logging the request as its
+// payload, and indexes the new job's ChipRun.
+func (s *Service) submit(req *ChipSubmitRequest, trace string) (jobqueue.Snapshot, bool, error) {
+	run := NewChipRun(trace, req.Job.CollectTrace)
+	snap, deduped, err := s.q.SubmitKeyed(s.chipTask(req.Job, run), jobqueue.SubmitOptions{Key: req.Key, Trace: run.TraceID}, req)
+	if err == nil && !deduped {
+		s.mu.Lock()
+		s.runs[snap.ID] = run
+		s.mu.Unlock()
+		if s.log != nil {
+			s.log.Info("chip job accepted", "id", snap.ID, "key", req.Key, "method", req.Job.Method, "trace", run.TraceID)
 		}
 	}
-	return nil
+	return snap, deduped, err
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req ChipSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	req, err := decodeChip(r.Body)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Validate cheaply up front so defective submissions fail with 400, not
-	// a Failed job after the whole budget has run.
-	if err := req.Job.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
+	snap, deduped, err := s.submit(req, r.Header.Get("X-Request-ID"))
+	if status, ok := server.SubmitStatus(w, deduped, err); ok {
+		server.WriteJSON(w, status, s.viewOf(snap))
 	}
-
-	run := NewChipRun(r.Header.Get("X-Request-ID"), req.Job.CollectTrace)
-	snap, deduped, err := s.q.SubmitKeyed(s.chipTask(req.Job, run), jobqueue.SubmitOptions{Key: req.Key, Trace: run.TraceID})
-	switch {
-	case deduped:
-		writeJSON(w, http.StatusOK, s.viewOf(snap))
-		return
-	case err == jobqueue.ErrQueueFull:
-		writeJSON(w, http.StatusTooManyRequests, server.ErrorResponse{Error: "queue full, retry later"})
-		return
-	case err == jobqueue.ErrDraining:
-		writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "coordinator is draining"})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	s.registerRun(snap.ID, run)
-	if req.Key != "" {
-		s.mu.Lock()
-		s.keys[snap.ID] = req.Key
-		s.mu.Unlock()
-		payload, merr := json.Marshal(req)
-		if merr == nil {
-			merr = s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALAccept, Key: req.Key, Payload: payload})
-		}
-		if merr != nil {
-			s.logWarn("chip wal accept append failed", "key", req.Key, "err", merr)
-		}
-	}
-	s.logInfo("chip job accepted", "id", snap.ID, "key", req.Key,
-		"method", req.Job.Method, "trace", run.TraceID)
-	writeJSON(w, http.StatusAccepted, s.viewOf(snap))
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad limit %q", v)})
-			return
-		}
-		limit = n
+	snaps, next, ok := server.ListPage(w, r, s.q)
+	if !ok {
+		return
 	}
-	snaps, next := s.q.ListPage(r.URL.Query().Get("after"), limit)
 	resp := ChipListResponse{Chips: make([]ChipView, 0, len(snaps)), NextAfter: next}
 	for _, snap := range snaps {
 		resp.Chips = append(resp.Chips, s.viewOf(snap))
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Get(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.viewOf(snap))
-}
-
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.viewOf(snap))
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // chipProgressView is the wire form of GET /v1/chips/{id}/progress and each
@@ -401,17 +303,9 @@ func (s *Service) progressView(snap jobqueue.Snapshot) chipProgressView {
 }
 
 func (s *Service) handleProgress(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Get(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
+	if snap, ok := server.Lookup(w, r, s.q); ok {
+		server.WriteJSON(w, http.StatusOK, s.progressView(snap))
 	}
-	writeJSON(w, http.StatusOK, s.progressView(snap))
-}
-
-// terminalChip reports whether a chip job state is final.
-func terminalChip(st jobqueue.State) bool {
-	return st == jobqueue.Done || st == jobqueue.Failed || st == jobqueue.Cancelled
 }
 
 // handleEvents streams progress snapshots as server-sent events until the
@@ -419,14 +313,14 @@ func terminalChip(st jobqueue.State) bool {
 // ("shutdown" event) — the stream never outlives readiness, so a watching
 // client cannot wedge a SIGTERM.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.q.Get(id); err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
+	snap, ok := server.Lookup(w, r, s.q)
+	if !ok {
 		return
 	}
+	id := snap.ID
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: "streaming unsupported"})
+		server.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -445,7 +339,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		data, _ := json.Marshal(s.progressView(snap))
 		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
-		if terminalChip(snap.State) {
+		if snap.State.Terminal() {
 			fmt.Fprintf(w, "event: end\ndata: {\"state\":%q}\n\n", snap.State.String())
 			fl.Flush()
 			return
@@ -466,19 +360,18 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the merged multi-process Chrome trace of a finished
 // collect_trace chip.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, err := s.q.Get(id)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
+	snap, ok := server.Lookup(w, r, s.q)
+	if !ok {
 		return
 	}
+	id := snap.ID
 	run := s.runOf(id)
 	if run == nil || !run.CollectsTraces() {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "chip did not collect traces (set job.collect_trace)"})
+		server.WriteError(w, http.StatusNotFound, "chip did not collect traces (set job.collect_trace)")
 		return
 	}
-	if !terminalChip(snap.State) {
-		writeJSON(w, http.StatusConflict, server.ErrorResponse{Error: "trace is available once the chip finishes"})
+	if !snap.State.Terminal() {
+		server.WriteError(w, http.StatusConflict, "trace is available once the chip finishes")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -488,44 +381,9 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) viewOf(snap jobqueue.Snapshot) ChipView {
-	v := ChipView{
-		ID:        snap.ID,
-		Key:       snap.Key,
-		State:     snap.State.String(),
-		Submitted: snap.Submitted,
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.Started = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.Finished = &t
-	}
-	if snap.Err != nil {
-		v.Error = snap.Err.Error()
-	}
-	switch snap.State {
-	case jobqueue.Running:
-		v.Phase = snap.Phase
-	case jobqueue.Done:
-		if rep, ok := snap.Result.(*MergedReport); ok {
-			v.Report = rep
-		}
-	}
+	v := ChipView{JobState: server.StateOf(snap), Key: snap.Key}
+	v.Report, _ = snap.Result.(*MergedReport) // set once done
 	return v
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Service) logInfo(msg string, args ...any) {
-	if s.log != nil {
-		s.log.Info(msg, args...)
-	}
 }
 
 func (s *Service) logWarn(msg string, args ...any) {

@@ -83,7 +83,7 @@ func insertSlowTileMS(list []server.TileMS, t server.TileMS) []server.TileMS {
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	d := s.statuszData(r)
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, d)
+		server.WriteJSON(w, http.StatusOK, d)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

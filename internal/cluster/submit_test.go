@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/server"
@@ -44,6 +45,12 @@ func TestSubmitRejectsBadOptions(t *testing.T) {
 		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"kernel":"box"}}`,
 		`{"job":{"method":"nope","cells_x":1,"cells_y":1}}`,
 		`{"job":{"method":"greedy"}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"gx":-1}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"target_min":-1}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"target_min":0.8,"max_density":0.5}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"window_nm":12800,"r":3}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"rule_gap_nm":-50}}`,
+		`{"job":{"method":"greedy","cells_x":1,"cells_y":1,"options":{"dual_gap_tol":1e-9}}}`,
 	} {
 		if rec := postChip(svc, []byte(body)); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", body, rec.Code, rec.Body.String())
@@ -64,7 +71,8 @@ func TestSubmitRejectsBadOptions(t *testing.T) {
 }
 
 // FuzzChipSubmitRequest: POST /v1/chips answers 400 exactly when the body
-// does not decode or its job fails ChipJob.Validate. The service is drained
+// does not decode strictly (an unknown or retired field is an error) or its
+// job fails ChipJob.Validate. The service is drained
 // before the first request, so a valid job is refused with 503 instead of
 // being queued: no chip is ever generated or budgeted, whatever cells_x and
 // cells_y the fuzzer picks.
@@ -88,7 +96,9 @@ func FuzzChipSubmitRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req ChipSubmitRequest
-		invalid := json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || req.Job.Validate() != nil
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		invalid := dec.Decode(&req) != nil || req.Job.Validate() != nil
 		rec := postChip(svc, body)
 		if rec.Code == http.StatusAccepted || rec.Code == http.StatusOK {
 			t.Fatalf("drained service queued %s", body)
@@ -97,4 +107,64 @@ func FuzzChipSubmitRequest(f *testing.F) {
 			t.Fatalf("%s: status %d, invalid %v", body, rec.Code, invalid)
 		}
 	})
+}
+
+// TestChipAnswersLikePilfilld: a full chip queue answers 429 with
+// Retry-After, and cancelling a chip that already finished answers 409, as
+// pilfilld does for its jobs. The only worker stalls every region
+// submission, so the first chip stays running while the rest queue.
+func TestChipAnswersLikePilfilld(t *testing.T) {
+	stall := func(h http.Handler) http.Handler { return &stallMatching{inner: h, d: time.Minute} }
+	coord, err := New(Config{Workers: []string{newWorker(t, stall).URL}, PollInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(ServiceConfig{Coordinator: coord, Queue: jobqueue.Config{Capacity: 1, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	body, _ := json.Marshal(ChipSubmitRequest{Job: testChip("greedy", 1, 1)})
+	submit := func() *httptest.ResponseRecorder { return postChip(svc, body) }
+	do := func(method, id string) (int, ChipView) {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(method, "/v1/chips/"+id, nil))
+		var v ChipView
+		json.NewDecoder(rec.Body).Decode(&v)
+		return rec.Code, v
+	}
+
+	var running ChipView
+	json.NewDecoder(submit().Body).Decode(&running)
+	for deadline := time.Now().Add(10 * time.Second); running.State != "running"; _, running = do(http.MethodGet, running.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("first chip never ran: %+v", running)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var pending ChipView
+	if rec := submit(); rec.Code != http.StatusAccepted {
+		t.Fatalf("second chip: status %d, want 202 into the free slot", rec.Code)
+	} else {
+		json.NewDecoder(rec.Body).Decode(&pending)
+	}
+	if rec := submit(); rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("third chip: status %d Retry-After %q, want 429 with Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if code, v := do(http.MethodDelete, pending.ID); code != http.StatusOK || v.State != "cancelled" {
+		t.Fatalf("cancel pending chip: %d %s, want 200 cancelled", code, v.State)
+	}
+	if code, _ := do(http.MethodDelete, pending.ID); code != http.StatusConflict {
+		t.Fatalf("cancel finished chip: %d, want 409", code)
+	}
+	if code, _ := do(http.MethodDelete, "job-99999999"); code != http.StatusNotFound {
+		t.Fatalf("cancel unknown chip: %d, want 404", code)
+	}
+	if code, _ := do(http.MethodDelete, running.ID); code != http.StatusOK {
+		t.Fatalf("cancel running chip: %d, want 200", code)
+	}
 }

@@ -10,10 +10,17 @@
 // queue guarantees the context is cancelled when the job is deleted, its
 // deadline expires, or the queue is force-shut-down, and relies on the task
 // honoring it (the pilfill solve path checks it at tile boundaries).
+//
+// A queue given a write-ahead log (OpenLog) also owns the durability of its
+// keyed jobs: it logs each fresh keyed submission's payload before that job
+// can be marked done, marks every terminal state but Cancelled done, and
+// replays the keys a previous process never finished through the caller's
+// own submit path.
 package jobqueue
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -140,6 +147,10 @@ type job struct {
 	err             error
 	cancel          context.CancelCauseFunc // non-nil only while running
 	cancelRequested bool
+
+	// logged is non-nil for a keyed job of a logged queue and closed once
+	// its accept record is durable; the done record waits for it.
+	logged chan struct{}
 }
 
 func (j *job) snapshotLocked() Snapshot {
@@ -190,6 +201,9 @@ type Queue struct {
 	nextID   int64
 	draining bool
 
+	log       *WAL   // keyed-job log; nil unless OpenLog succeeded
+	replaying string // key OpenLog is resubmitting; its accept is on disk
+
 	submitted atomic.Int64
 	rejected  atomic.Int64
 
@@ -224,9 +238,9 @@ func New(cfg Config) *Queue {
 // ErrQueueFull and a draining queue returns ErrDraining, both with a zero
 // Snapshot. When SubmitOptions.Key matches an existing job the existing
 // snapshot is returned without enqueueing anything (see SubmitKeyed for the
-// dedupe indication).
+// dedupe indication and the logged payload).
 func (q *Queue) Submit(task Task, opts SubmitOptions) (Snapshot, error) {
-	snap, _, err := q.SubmitKeyed(task, opts)
+	snap, _, err := q.SubmitKeyed(task, opts, nil)
 	return snap, err
 }
 
@@ -235,7 +249,14 @@ func (q *Queue) Submit(task Task, opts SubmitOptions) (Snapshot, error) {
 // is returned with deduped == true — no new job is created, the duplicate is
 // not counted as a submission, and a draining or full queue does not reject
 // the lookup. A fresh submission returns deduped == false.
-func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, error) {
+//
+// On a logged queue (OpenLog) a fresh keyed submission also appends an
+// accept record carrying payload, JSON-encoded, which is what OpenLog hands
+// back to the caller for replay. SubmitKeyed returns once that record is
+// durable, and the job's done record is held until then, so a job that
+// finishes at once can never be logged done before it is logged accepted.
+// Without a log, or without a key, payload is not touched.
+func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions, payload any) (Snapshot, bool, error) {
 	if task == nil {
 		return Snapshot{}, false, errors.New("jobqueue: nil task")
 	}
@@ -251,8 +272,8 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 			return j.snapshot(), true, nil
 		}
 	}
-	defer q.mu.Unlock()
 	if q.draining {
+		q.mu.Unlock()
 		q.rejected.Add(1)
 		return Snapshot{}, false, ErrDraining
 	}
@@ -266,6 +287,10 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 		state:     Pending,
 		submitted: time.Now(),
 	}
+	if q.log != nil && opts.Key != "" {
+		j.logged = make(chan struct{})
+	}
+	accept := j.logged != nil && opts.Key != q.replaying
 	// Snapshot while the job is still private: once it is on q.pending an
 	// idle worker may mark it running before this returns.
 	snap := j.snapshotLocked()
@@ -273,6 +298,7 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 	case q.pending <- j:
 	default:
 		q.nextID-- // unused ID; keep IDs dense
+		q.mu.Unlock()
 		q.rejected.Add(1)
 		return Snapshot{}, false, ErrQueueFull
 	}
@@ -282,7 +308,75 @@ func (q *Queue) SubmitKeyed(task Task, opts SubmitOptions) (Snapshot, bool, erro
 	}
 	q.order = append(q.order, j.id)
 	q.submitted.Add(1)
+	q.mu.Unlock()
+	if j.logged != nil {
+		defer close(j.logged)
+	}
+	if accept {
+		q.appendLog(WALAccept, j.key, payload)
+	}
 	return snap, false, nil
+}
+
+// OpenLog makes the queue's keyed jobs durable through the write-ahead log
+// at path, which it creates if needed and closes at the end of Shutdown.
+// Each key a previous process accepted but never finished is first handed
+// back to replay with the payload its accept record carries; replay should
+// rebuild the job and resubmit it under that key through the caller's usual
+// SubmitKeyed path, which then writes no second accept record.
+// A replay error means the job no longer decodes or validates: the record
+// is marked done so it is not tried on every start. Only a queue that
+// cannot take the job (ErrQueueFull, ErrDraining) fails OpenLog. Call it
+// once, before the queue takes outside submissions.
+func (q *Queue) OpenLog(path string, replay func(key string, payload json.RawMessage) error) error {
+	log, recs, err := OpenWAL(path)
+	if err != nil {
+		return err
+	}
+	q.mu.Lock()
+	q.log = log
+	q.mu.Unlock()
+	for _, rec := range WALUnfinished(recs) {
+		q.mu.Lock()
+		q.replaying = rec.Key
+		q.mu.Unlock()
+		err := replay(rec.Key, rec.Payload)
+		q.mu.Lock()
+		q.replaying = ""
+		q.mu.Unlock()
+		switch {
+		case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
+			return fmt.Errorf("jobqueue: replay %q: %w", rec.Key, err)
+		case err != nil:
+			if lg := q.cfg.Logger; lg != nil {
+				lg.Warn("wal replay: job no longer valid, marking done", "key", rec.Key, "err", err)
+			}
+			if err := log.Append(WALRecord{Type: WALDone, Key: rec.Key}); err != nil {
+				return err
+			}
+		default:
+			if lg := q.cfg.Logger; lg != nil {
+				lg.Info("wal replay: resubmitted job", "key", rec.Key)
+			}
+		}
+	}
+	return nil
+}
+
+// appendLog durably writes one record of the keyed-job log; a failure is
+// logged, as the job it concerns is already queued or finished.
+func (q *Queue) appendLog(typ, key string, payload any) {
+	rec := WALRecord{Type: typ, Key: key}
+	var err error
+	if payload != nil {
+		rec.Payload, err = json.Marshal(payload)
+	}
+	if err == nil {
+		err = q.log.Append(rec)
+	}
+	if err != nil && q.cfg.Logger != nil {
+		q.cfg.Logger.Error("wal append failed", "type", typ, "key", key, "err", err)
+	}
 }
 
 // Get returns a job's current snapshot.
@@ -363,7 +457,7 @@ func (q *Queue) Cancel(id string) (Snapshot, error) {
 		j.err = context.Canceled
 		snap := j.snapshotLocked()
 		j.mu.Unlock()
-		q.finish(snap)
+		q.finish(j, snap)
 		return snap, nil
 	case Running:
 		j.cancelRequested = true
@@ -416,13 +510,16 @@ func (q *Queue) Draining() bool {
 // jobs finish and queued jobs still run. If ctx expires first, every
 // remaining job is cancelled (running tasks via their context, queued ones
 // before they start), the workers are awaited, and ctx.Err() is returned.
-// Shutdown is idempotent; concurrent calls all wait for the drain.
+// The first call then closes the log, if any. Shutdown is idempotent;
+// concurrent calls all wait for the drain.
 func (q *Queue) Shutdown(ctx context.Context) error {
 	q.mu.Lock()
-	if !q.draining {
+	first := !q.draining
+	if first {
 		q.draining = true
 		close(q.pending) // Submit sends under q.mu after checking draining
 	}
+	log := q.log
 	q.mu.Unlock()
 
 	done := make(chan struct{})
@@ -430,14 +527,20 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 		q.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		q.baseCancel(errShutdown)
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	if first {
+		if cerr := log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 func (q *Queue) worker() {
@@ -460,7 +563,7 @@ func (q *Queue) runJob(j *job) {
 		j.err = errShutdown
 		snap := j.snapshotLocked()
 		j.mu.Unlock()
-		q.finish(snap)
+		q.finish(j, snap)
 		return
 	}
 	ctx, cancel := context.WithCancelCause(q.baseCtx)
@@ -507,12 +610,14 @@ func (q *Queue) runJob(j *job) {
 	}
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
-	q.finish(snap)
+	q.finish(j, snap)
 }
 
-// finish logs a job's terminal transition and fires the OnFinish hook; it
+// finish logs a job's terminal transition, marks a logged job done unless
+// it was cancelled (a drain-time cancellation must be replayed after a
+// restart, or accepted work would be lost), and fires the OnFinish hook; it
 // must be called outside all queue and job locks.
-func (q *Queue) finish(snap Snapshot) {
+func (q *Queue) finish(j *job, snap Snapshot) {
 	if lg := q.cfg.Logger; lg != nil {
 		dur := time.Duration(0)
 		if !snap.Started.IsZero() {
@@ -526,6 +631,10 @@ func (q *Queue) finish(snap Snapshot) {
 			attrs = append(attrs, "err", snap.Err)
 		}
 		lg.Info("job finished", attrs...)
+	}
+	if j.logged != nil && snap.State != Cancelled {
+		<-j.logged
+		q.appendLog(WALDone, snap.Key, nil)
 	}
 	if q.cfg.OnFinish != nil {
 		q.cfg.OnFinish(snap)

@@ -13,7 +13,7 @@ func TestKeyedSubmitDedupes(t *testing.T) {
 	defer q.Shutdown(context.Background())
 
 	release := make(chan struct{})
-	first, dup, err := q.SubmitKeyed(blockingTask(nil, release), SubmitOptions{Key: "region-a"})
+	first, dup, err := q.SubmitKeyed(blockingTask(nil, release), SubmitOptions{Key: "region-a"}, nil)
 	if err != nil || dup {
 		t.Fatalf("fresh keyed submit: dup=%v err=%v", dup, err)
 	}
@@ -22,7 +22,7 @@ func TestKeyedSubmitDedupes(t *testing.T) {
 	}
 
 	// Same key again: same job, no new submission, deduped flag set.
-	again, dup, err := q.SubmitKeyed(quickTask("other"), SubmitOptions{Key: "region-a"})
+	again, dup, err := q.SubmitKeyed(quickTask("other"), SubmitOptions{Key: "region-a"}, nil)
 	if err != nil {
 		t.Fatalf("duplicate keyed submit: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestKeyedSubmitDedupes(t *testing.T) {
 	}
 
 	// A different key is a fresh job.
-	other, dup, err := q.SubmitKeyed(quickTask("b"), SubmitOptions{Key: "region-b"})
+	other, dup, err := q.SubmitKeyed(quickTask("b"), SubmitOptions{Key: "region-b"}, nil)
 	if err != nil || dup || other.ID == first.ID {
 		t.Fatalf("distinct key: id=%s dup=%v err=%v", other.ID, dup, err)
 	}
@@ -53,11 +53,11 @@ func TestKeyedSubmitDedupes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	done := waitState(t, q, first.ID, Done)
-	snap, dup, err := q.SubmitKeyed(quickTask("x"), SubmitOptions{Key: "region-a"})
+	snap, dup, err := q.SubmitKeyed(quickTask("x"), SubmitOptions{Key: "region-a"}, nil)
 	if err != nil || !dup || snap.ID != done.ID {
 		t.Fatalf("dedupe while draining: id=%s dup=%v err=%v", snap.ID, dup, err)
 	}
-	if _, _, err := q.SubmitKeyed(quickTask("x"), SubmitOptions{Key: "region-new"}); !errors.Is(err, ErrDraining) {
+	if _, _, err := q.SubmitKeyed(quickTask("x"), SubmitOptions{Key: "region-new"}, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("fresh key while draining: err = %v, want ErrDraining", err)
 	}
 }
@@ -79,10 +79,10 @@ func TestKeyedSubmitFullQueueStillDedupes(t *testing.T) {
 	}
 
 	// Queue is full: a fresh key is rejected, a known key is still answered.
-	if _, _, err := q.SubmitKeyed(quickTask(nil), SubmitOptions{Key: "overflow"}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := q.SubmitKeyed(quickTask(nil), SubmitOptions{Key: "overflow"}, nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("fresh key into full queue: err = %v, want ErrQueueFull", err)
 	}
-	snap, dup, err := q.SubmitKeyed(quickTask(nil), SubmitOptions{Key: "busy"})
+	snap, dup, err := q.SubmitKeyed(quickTask(nil), SubmitOptions{Key: "busy"}, nil)
 	if err != nil || !dup || snap.ID != running.ID {
 		t.Fatalf("dedupe into full queue: id=%s dup=%v err=%v", snap.ID, dup, err)
 	}

@@ -3,9 +3,10 @@
 // "done" record when it reaches a state that need not be re-run; replaying
 // the log on startup and resubmitting every accepted-but-not-done key (the
 // keys dedupe, so replay is idempotent) means a SIGTERM or crash between the
-// two records loses nothing. Both pilfilld (accepted region jobs) and the
-// cluster coordinator (scattered regions, finished chips) persist through
-// this type.
+// two records loses nothing. Queue.OpenLog is the one owner of that
+// accept/done protocol, for pilfilld's jobs (jobs.wal) and the coordinator's
+// chip jobs (chips.wal); the coordinator's region payload cache
+// (regions.wal) appends its own records through this type directly.
 package jobqueue
 
 import (
@@ -20,9 +21,8 @@ import (
 
 // WAL record types.
 const (
-	// WALAccept records work accepted under a key; its payload is whatever
-	// the owner needs to reconstruct the work (pilfilld stores the
-	// SubmitRequest).
+	// WALAccept records work accepted under a key; its payload is the one
+	// SubmitKeyed was given, whatever the owner needs to rebuild the work.
 	WALAccept = "accept"
 	// WALDone marks a key's work complete — it will not be replayed.
 	WALDone = "done"
@@ -128,28 +128,20 @@ func (w *WAL) Close() error {
 }
 
 // WALUnfinished filters a replayed log down to the accept records whose key
-// never reached done, preserving accept order. A key re-accepted after a
-// done (a later, distinct incarnation of the work) is kept.
+// has no done record after them, preserving accept order. A key re-accepted
+// after a done (a later, distinct incarnation of the work) is kept.
 func WALUnfinished(recs []WALRecord) []WALRecord {
-	open := make(map[string]int) // key -> index into out, for cancellation
-	var out []WALRecord
-	for _, rec := range recs {
-		switch rec.Type {
-		case WALAccept:
-			open[rec.Key] = len(out)
-			out = append(out, rec)
-		case WALDone:
-			if i, ok := open[rec.Key]; ok {
-				out[i].Type = "" // tombstone; compacted below
-				delete(open, rec.Key)
-			}
+	lastDone := make(map[string]int) // key -> 1 + index of its last done
+	for i, rec := range recs {
+		if rec.Type == WALDone {
+			lastDone[rec.Key] = i + 1
 		}
 	}
-	kept := out[:0]
-	for _, rec := range out {
-		if rec.Type == WALAccept {
-			kept = append(kept, rec)
+	var open []WALRecord
+	for i, rec := range recs {
+		if rec.Type == WALAccept && lastDone[rec.Key] <= i {
+			open = append(open, rec)
 		}
 	}
-	return kept
+	return open
 }

@@ -111,26 +111,50 @@ func (o SubmitOptions) tracer() *obs.Tracer {
 	return obs.NewTracer(0)
 }
 
-// JobView is the response of POST /v1/jobs, GET /v1/jobs/{id} and
-// DELETE /v1/jobs/{id}.
-type JobView struct {
+// JobState is the queue state of a job as every job view spells it:
+// pilfilld's JobView and the coordinator's ChipView embed it.
+type JobState struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
 	// Phase is the job's current phase while running ("load", "prepare",
-	// "solve"); for finished jobs the phase timing breakdown is in
-	// Report.PhasesMS.
+	// "solve"); for finished jobs the phase timing breakdown is in the
+	// report.
 	Phase     string     `json:"phase,omitempty"`
-	Method    string     `json:"method,omitempty"`
 	Submitted time.Time  `json:"submitted"`
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
+	Error     string     `json:"error,omitempty"`
+}
+
+// StateOf is the JobState of a queue snapshot.
+func StateOf(snap jobqueue.Snapshot) JobState {
+	v := JobState{ID: snap.ID, State: snap.State.String(), Submitted: snap.Submitted}
+	if snap.State == jobqueue.Running {
+		v.Phase = snap.Phase
+	}
+	if t := snap.Started; !t.IsZero() {
+		v.Started = &t
+	}
+	if t := snap.Finished; !t.IsZero() {
+		v.Finished = &t
+	}
+	if snap.Err != nil {
+		v.Error = snap.Err.Error()
+	}
+	return v
+}
+
+// JobView is the response of POST /v1/jobs, GET /v1/jobs/{id} and
+// DELETE /v1/jobs/{id}.
+type JobView struct {
+	JobState
+	Method string `json:"method,omitempty"`
 	// TraceID is the distributed request/trace ID bound at submission (the
 	// X-Request-ID header), echoed so pollers can correlate across processes.
 	TraceID string `json:"trace_id,omitempty"`
 	// Progress is the live solve-progress snapshot while the job runs (also
 	// available alone at GET /v1/jobs/{id}/progress).
 	Progress *ProgressPayload `json:"progress,omitempty"`
-	Error    string           `json:"error,omitempty"`
 	Report   *ReportPayload   `json:"report,omitempty"`
 }
 
@@ -283,37 +307,4 @@ func ParseMethod(s string) (core.Method, bool) {
 		return core.GreedyCapped, true
 	}
 	return 0, false
-}
-
-// viewOf converts a queue snapshot (plus the method recorded at submit
-// time) to the wire form.
-func viewOf(snap jobqueue.Snapshot, method string) JobView {
-	v := JobView{
-		ID:        snap.ID,
-		State:     snap.State.String(),
-		Method:    method,
-		Submitted: snap.Submitted,
-		TraceID:   snap.Trace,
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.Started = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.Finished = &t
-	}
-	if snap.Err != nil {
-		v.Error = snap.Err.Error()
-	}
-	switch snap.State {
-	case jobqueue.Running:
-		v.Phase = snap.Phase
-		v.Progress = progressOf(snap)
-	case jobqueue.Done:
-		if rep, ok := snap.Result.(*ReportPayload); ok {
-			v.Report = rep
-		}
-	}
-	return v
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +98,49 @@ func TestSubmitRejectsRetiredFields(t *testing.T) {
 		if code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", json.RawMessage(body)); code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", body, code, data)
 		}
+	}
+}
+
+// TestFastKeyedJobLeavesNothingUnfinished: a keyed job that finishes the
+// moment it is queued is still logged accepted before it is logged done, so
+// after shutdown the WAL holds no unfinished accept and a restart would
+// replay nothing. The multi-MB bodies make encoding each accept payload
+// outlast its instant task: a log that appended accept only after the
+// submit returned would record done first and leave every one open.
+func TestFastKeyedJobLeavesNothingUnfinished(t *testing.T) {
+	dir := t.TempDir()
+	instant := func(*server.SubmitRequest) (jobqueue.Task, error) {
+		return func(context.Context, func(string)) (any, error) { return nil, nil }, nil
+	}
+	s, err := server.New(server.Config{
+		Queue:       jobqueue.Config{Capacity: 4, Workers: 1},
+		TaskFactory: instant,
+		DataDir:     dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	pad := strings.Repeat("x", 4<<20)
+	for _, key := range []string{"fast-1", "fast-2", "fast-3"} {
+		code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", server.SubmitRequest{DEF: pad, Method: "Greedy", Key: key})
+		if code != http.StatusAccepted {
+			ts.Close()
+			t.Fatalf("submit %s: %d %.200s", key, code, data)
+		}
+	}
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w, recs, err := jobqueue.OpenWAL(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	for _, rec := range jobqueue.WALUnfinished(recs) {
+		t.Errorf("job %q left unfinished in the WAL after it finished", rec.Key)
 	}
 }

@@ -21,12 +21,14 @@
 //	                      load balancers stop routing here (readiness)
 //	GET    /metrics       Prometheus text exposition
 //
-// With Config.DataDir set, keyed submissions are written to an append-only
-// JSONL WAL and unfinished ones are resubmitted on startup, so a restart
-// does not lose accepted work (the idempotency keys make the replay safe).
+// With Config.DataDir set, the queue logs keyed submissions to an
+// append-only JSONL WAL (jobqueue.Queue.OpenLog) and unfinished ones are
+// resubmitted on startup, so a restart does not lose accepted work (the
+// idempotency keys make the replay safe).
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,7 +39,6 @@ import (
 	"net/http/pprof"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +89,6 @@ type Server struct {
 	factory func(req *SubmitRequest) (jobqueue.Task, error)
 	logger  *slog.Logger
 	adm     *jobqueue.TenantAdmission
-	wal     *jobqueue.WAL
 	ready   atomic.Bool  // readiness; flipped off by SetReady before a drain
 	nextReq atomic.Int64 // request-id counter
 
@@ -130,26 +130,20 @@ func New(cfg Config) (*Server, error) {
 	s.q = jobqueue.New(qcfg)
 
 	if cfg.DataDir != "" {
-		wal, recs, err := jobqueue.OpenWAL(filepath.Join(cfg.DataDir, "jobs.wal"))
-		if err != nil {
-			s.q.Shutdown(context.Background())
-			return nil, err
-		}
-		s.wal = wal
-		if err := s.replay(recs); err != nil {
+		if err := s.q.OpenLog(filepath.Join(cfg.DataDir, "jobs.wal"), s.replay); err != nil {
 			s.q.Shutdown(context.Background())
 			return nil, err
 		}
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.maxBody(cfg.MaxBodyBytes, s.handleSubmit))
+	mux.HandleFunc("POST /v1/jobs", LimitBody(cfg.MaxBodyBytes, s.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { WriteStatus(w, !s.q.Draining()) })
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { WriteStatus(w, s.ready.Load() && !s.q.Draining()) })
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -162,10 +156,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// jobFinished is the queue's OnFinish hook: metrics, tenant release, and the
-// WAL done record. Cancelled jobs are deliberately not marked done — a
-// drain-time cancellation must be replayed after restart, or accepted work
-// would be lost.
+// jobFinished is the queue's OnFinish hook: metrics and tenant release.
 func (s *Server) jobFinished(snap jobqueue.Snapshot) {
 	s.metrics.jobFinished(snap)
 	s.mu.Lock()
@@ -175,48 +166,43 @@ func (s *Server) jobFinished(snap jobqueue.Snapshot) {
 	if admitted {
 		s.adm.Release(tenant)
 	}
-	if snap.Key != "" && snap.State != jobqueue.Cancelled {
-		if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: snap.Key}); err != nil && s.logger != nil {
-			s.logger.Error("wal done append failed", "key", snap.Key, "err", err)
-		}
-	}
 }
 
-// replay resubmits every accepted-but-unfinished keyed job from a prior
-// incarnation. Requests that no longer validate are marked done (replaying
-// them forever would wedge every startup); everything else re-enters the
-// queue under its original key.
-func (s *Server) replay(recs []jobqueue.WALRecord) error {
-	for _, rec := range jobqueue.WALUnfinished(recs) {
-		var req SubmitRequest
-		if err := json.Unmarshal(rec.Payload, &req); err != nil {
-			return fmt.Errorf("wal replay %q: %w", rec.Key, err)
-		}
-		task, err := s.factory(&req)
-		if err != nil {
-			if s.logger != nil {
-				s.logger.Warn("wal replay: job no longer valid, marking done", "key", rec.Key, "err", err)
-			}
-			if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: rec.Key}); err != nil {
-				return err
-			}
-			continue
-		}
-		snap, _, err := s.q.SubmitKeyed(task, jobqueue.SubmitOptions{
-			Key:     rec.Key,
-			Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
-		if err != nil {
-			return fmt.Errorf("wal replay %q: %w", rec.Key, err)
-		}
-		s.mu.Lock()
+// replay resubmits one logged request a previous process accepted but
+// never finished; an error marks it done (see jobqueue.Queue.OpenLog).
+func (s *Server) replay(key string, payload json.RawMessage) error {
+	req, err := decodeSubmit(bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	req.Key = key
+	task, err := s.factory(req)
+	if err != nil {
+		return err
+	}
+	_, _, err = s.submit(req, task, "", "", false)
+	return err
+}
+
+// submit queues req's task under req's key, logging req as its payload, and
+// records the new job's method label and, when admitted, its tenant. The
+// records are made under s.mu before jobFinished can read them, however
+// fast the job finishes.
+func (s *Server) submit(req *SubmitRequest, task jobqueue.Task, trace, tenant string, admitted bool) (jobqueue.Snapshot, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap, deduped, err := s.q.SubmitKeyed(task, jobqueue.SubmitOptions{
+		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
+		Key:     req.Key,
+		Trace:   trace,
+	}, req)
+	if err == nil && !deduped {
 		s.methods[snap.ID] = req.Method
-		s.mu.Unlock()
-		if s.logger != nil {
-			s.logger.Info("wal replay: resubmitted job", "key", rec.Key, "id", snap.ID)
+		if admitted {
+			s.tenants[snap.ID] = tenant
 		}
 	}
-	return nil
+	return snap, deduped, err
 }
 
 // statusWriter captures the response status for the request log.
@@ -258,46 +244,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // rejected with 503, running and queued jobs finish (or are cancelled when
 // ctx expires). The HTTP listener itself is the caller's to close — keep it
 // serving during the drain so clients can poll final job states.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.q.Shutdown(ctx)
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.q.Shutdown(ctx) }
 
-func (s *Server) maxBody(limit int64, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		h(w, r)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) methodLabel(id string) string {
+// view is the wire form of a job, with the method recorded at submit.
+func (s *Server) view(snap jobqueue.Snapshot) JobView {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.methods[id]
+	v := JobView{JobState: StateOf(snap), Method: s.methods[snap.ID], TraceID: snap.Trace}
+	s.mu.Unlock()
+	if snap.State == jobqueue.Running {
+		v.Progress = progressOf(snap)
+	}
+	v.Report, _ = snap.Result.(*ReportPayload) // set once done
+	return v
 }
 
-// decodeSubmit parses a POST /v1/jobs body; unknown fields are an error, so
-// a misspelled option fails loudly instead of silently taking its default.
+// decodeSubmit parses a POST /v1/jobs body strictly (DecodeStrict).
 func decodeSubmit(r io.Reader) (*SubmitRequest, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := DecodeStrict(r, &req); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -306,91 +270,48 @@ func decodeSubmit(r io.Reader) (*SubmitRequest, error) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeSubmit(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	task, err := s.factory(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant := r.Header.Get("X-Tenant")
 	if res := s.adm.Admit(tenant); !res.OK {
 		w.Header().Set("Retry-After", jobqueue.RetryAfterSeconds(res.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "tenant over %s limit, retry later", res.Reason)
+		WriteError(w, http.StatusTooManyRequests, "tenant over %s limit, retry later", res.Reason)
 		return
 	}
-	snap, deduped, err := s.q.SubmitKeyed(task, jobqueue.SubmitOptions{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		Key:     req.Key,
-		Trace:   r.Header.Get("X-Request-ID"),
-	})
+	snap, deduped, err := s.submit(req, task, r.Header.Get("X-Request-ID"), tenant, s.adm != nil)
 	if err != nil || deduped {
 		// No new job entered the queue: the admitted slot is unused.
 		s.adm.Release(tenant)
 	}
-	switch {
-	case errors.Is(err, jobqueue.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full, retry later")
-		return
-	case errors.Is(err, jobqueue.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	if status, ok := SubmitStatus(w, deduped, err); ok {
+		WriteJSON(w, status, s.view(snap))
 	}
-	if deduped {
-		writeJSON(w, http.StatusOK, viewOf(snap, s.methodLabel(snap.ID)))
-		return
-	}
-	s.mu.Lock()
-	s.methods[snap.ID] = req.Method
-	if s.adm != nil {
-		s.tenants[snap.ID] = tenant
-	}
-	s.mu.Unlock()
-	if req.Key != "" && s.wal != nil {
-		payload, merr := json.Marshal(req)
-		if merr == nil {
-			merr = s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALAccept, Key: req.Key, Payload: payload})
-		}
-		if merr != nil && s.logger != nil {
-			s.logger.Error("wal accept append failed", "key", req.Key, "err", merr)
-		}
-	}
-	writeJSON(w, http.StatusAccepted, viewOf(snap, req.Method))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		limit = n
+	snaps, next, ok := ListPage(w, r, s.q)
+	if !ok {
+		return
 	}
-	snaps, next := s.q.ListPage(r.URL.Query().Get("after"), limit)
 	resp := ListResponse{Jobs: make([]JobView, 0, len(snaps)), NextAfter: next}
 	for _, snap := range snaps {
-		v := viewOf(snap, s.methodLabel(snap.ID))
+		v := s.view(snap)
 		v.Report = nil // keep the listing light; fetch one job for the report
 		resp.Jobs = append(resp.Jobs, v)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, err := s.q.Get(id)
-	if errors.Is(err, jobqueue.ErrNotFound) {
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
+	if snap, ok := Lookup(w, r, s.q); ok {
+		WriteJSON(w, http.StatusOK, s.view(snap))
 	}
-	writeJSON(w, http.StatusOK, viewOf(snap, s.methodLabel(id)))
 }
 
 // handleProgress serves just the live progress snapshot — the polling-
@@ -398,17 +319,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // chip-level aggregation. An empty object means the job has not published
 // progress yet (still pending, or a task without progress instrumentation).
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, err := s.q.Get(id)
-	if errors.Is(err, jobqueue.ErrNotFound) {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+	snap, ok := Lookup(w, r, s.q)
+	if !ok {
 		return
 	}
 	pp := progressOf(snap)
 	if pp == nil {
 		pp = &ProgressPayload{Phase: snap.Phase}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		ID    string `json:"id"`
 		State string `json:"state"`
 		*ProgressPayload
@@ -416,42 +335,18 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, err := s.q.Cancel(id)
-	switch {
-	case errors.Is(err, jobqueue.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
-	case errors.Is(err, jobqueue.ErrFinished):
-		writeError(w, http.StatusConflict, "job %q already %s", id, snap.State)
-		return
+	if snap, ok := Cancel(w, r, s.q); ok {
+		WriteJSON(w, http.StatusOK, s.view(snap))
 	}
-	writeJSON(w, http.StatusOK, viewOf(snap, s.methodLabel(id)))
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.q.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // SetReady flips the /readyz readiness signal. pilfilld calls SetReady(false)
 // at SIGTERM, before the queue drain starts, so routers see "not ready"
-// while in-flight jobs are still finishing cleanly.
+// while in-flight jobs are still finishing cleanly. Readiness is the routing
+// signal, distinct from /healthz (liveness, which stays 200 until the queue
+// drains), so a draining worker is taken out of rotation without being
+// restarted.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// handleReady is the routing signal: distinct from /healthz (liveness, which
-// stays 200 until the process is truly unable to serve) so a draining worker
-// is taken out of rotation without being restarted.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() || s.q.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -222,9 +222,12 @@ func NewSession(l *layout.Layout, opts Options) (*Session, error) {
 	grid := density.NewGrid(l, dis, eng.Occ, o.Layer)
 	var budget density.Budget
 	target := o.TargetMinDensity
-	if target <= 0 {
+	switch {
+	case target <= 0 && (eng.Grid.Cols == 0 || eng.Grid.Rows == 0):
+		return nil, fmt.Errorf("pilfill: die %v has no fill site under rule %+v: no density to probe a target from", l.Die, o.Rule)
+	case target <= 0:
 		budget, target, err = density.MaxMinBudget(grid, o.MaxDensity, o.Seed)
-	} else {
+	default:
 		budget, _, err = density.MonteCarlo(grid, density.MonteCarloOptions{
 			TargetMin:  target,
 			MaxDensity: o.MaxDensity,

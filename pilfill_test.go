@@ -3,6 +3,7 @@ package pilfill
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -251,7 +252,7 @@ func TestSessionGroundedILPIRejected(t *testing.T) {
 
 // TestZeroSiteDie: a die shorter than one fill feature has no site. The
 // engine builds on the empty grid; a session with the probed target fails
-// with a clear error (no site, no density to probe), and one with an
+// with an error naming the die, the rule and "no fill site", and one with an
 // explicit target runs and places nothing.
 func TestZeroSiteDie(t *testing.T) {
 	l := &layout.Layout{Name: "tiny", Die: geom.Rect{X2: 100, Y2: 100}, Layers: []layout.Layer{{Name: "M1"}}}
@@ -267,8 +268,12 @@ func TestZeroSiteDie(t *testing.T) {
 	if eng.Grid.Cols != 0 || eng.Grid.Rows != 0 {
 		t.Fatalf("grid %dx%d, want 0x0", eng.Grid.Cols, eng.Grid.Rows)
 	}
-	if _, err := NewSession(l, Options{Window: 100, R: 1, Rule: rule}); err == nil {
+	_, err = NewSession(l, Options{Window: 100, R: 1, Rule: rule})
+	if err == nil {
 		t.Error("probed target on a zero-site die accepted")
+	} else if msg := err.Error(); !strings.Contains(msg, "no fill site") ||
+		!strings.Contains(msg, l.Die.String()) || !strings.Contains(msg, fmt.Sprintf("%+v", rule)) {
+		t.Errorf("zero-site die error %q does not name the die %v, the rule %+v and \"no fill site\"", msg, l.Die, rule)
 	}
 	s, err := NewSession(l, Options{Window: 100, R: 1, Rule: rule, TargetMinDensity: 0.1})
 	if err != nil {
