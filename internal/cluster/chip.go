@@ -1,8 +1,9 @@
 // chip.go defines the chip-level job the coordinator accepts and the shared
 // preparation pipeline: layout in, FFT effective-density budget out, sharded
-// into self-contained region jobs. RunChipLocal runs the same region sequence
-// on one in-process engine, one masked budget per region — the
-// single-process reference a clustered run must match bit for bit.
+// into self-contained region jobs. RunChipLocal runs those same region jobs
+// in process, one at a time, through the worker's own region solve
+// (server.SolveRegion) — the single-process reference a clustered run must
+// match bit for bit.
 package cluster
 
 import (
@@ -12,7 +13,6 @@ import (
 	"strings"
 
 	"pilfill"
-	"pilfill/internal/core"
 	"pilfill/internal/density"
 	"pilfill/internal/layout"
 	"pilfill/internal/server"
@@ -145,7 +145,9 @@ func ParseKernel(s string) (density.KernelKind, error) {
 
 // Prep is a prepared chip: everything RunChip and RunChipLocal share. The
 // budget is computed once, whole-chip, on the coordinator — regions receive
-// their slice of it, so budget math never depends on the region grid.
+// their slice of it, so budget math never depends on the region grid. Each
+// of Jobs carries its stripe both as DEF text (what RunChip ships to a
+// worker) and as the layout it was written from (what RunChipLocal solves).
 type Prep struct {
 	Job      ChipJob // with defaults applied
 	Layout   *layout.Layout
@@ -231,12 +233,15 @@ func PrepareChip(job ChipJob) (*Prep, error) {
 	}, nil
 }
 
-// RunChipLocal is the single-process run of a prepared chip: one whole-chip
-// engine, one masked-budget solve per region in region-index order, gathered
-// through the same MergeRegions the coordinator uses. This is the reference
-// a clustered run must be bit-identical to — and it matches a plain
-// whole-chip run's fill stream whenever the region order coincides with the
-// global instance order (gy = 1).
+// RunChipLocal is the single-process run of a prepared chip: each region
+// job, in region-index order, goes through server.SolveRegion — the solve a
+// worker runs — on the stripe layout Plan.Jobs cut, with the RegionSpec the
+// coordinator would send, and the payloads are gathered through the same
+// MergeRegions the coordinator uses. One stripe engine lives at a time, so
+// peak memory follows the widest stripe plus the fill output. This is the
+// reference a clustered run must be bit-identical to; its fill stream also
+// matches a plain whole-chip run whenever the region order coincides with
+// the global instance order (gy = 1).
 func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	m, ok := server.ParseMethod(prep.Job.Method)
 	if !ok {
@@ -250,23 +255,14 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	// the local run keeps at least one solve worker instead of the daemon's
 	// CPU-share clamp.
 	cfg := opts.EngineConfig()
-	cfg.Layer = prep.Job.Layer
 	cfg.Workers = max(1, cfg.Workers)
-	eng, err := core.NewEngine(prep.Layout, prep.Dis, prep.Rule, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reference engine: %w", err)
-	}
-	payloads := make([]*server.RegionPayload, len(prep.Plan.Regions))
-	for n, reg := range prep.Plan.Regions {
-		instances, err := eng.Instances(shard.MaskedBudget(prep.Budget, reg.Owned))
+	payloads := make([]*server.RegionPayload, len(prep.Jobs))
+	for n, jb := range prep.Jobs {
+		rep, err := server.SolveRegion(ctx, jb.Layout, regionSpec(jb, &prep.Job), m, cfg, func(string, int) {})
 		if err != nil {
-			return nil, fmt.Errorf("cluster: region %s instances: %w", reg.Owned, err)
+			return nil, fmt.Errorf("cluster: region %s: %w", jb.Region.Owned, err)
 		}
-		res, err := eng.RunContext(ctx, m, instances)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: region %s: %w", reg.Owned, err)
-		}
-		payloads[n] = server.NewRegionPayload(reg.ID(prep.Plan.GX, prep.Plan.GY), prep.Layout, res, 0, 0)
+		payloads[n] = rep.Region
 	}
 	rep, err := MergeRegions(prep.NetNames, payloads)
 	if err != nil {

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,58 +169,109 @@ func TestChipLocalMemoOnOffPinnedHash(t *testing.T) {
 	assertBitIdentical(t, "memo on vs off", on, off)
 }
 
-// TestLocalReferenceMatchesWholeRun validates the reference itself: with a
-// stripes-only region grid (gy = 1) the region-ordered masked-budget
-// aggregation visits instances in exactly the whole-chip order, so its fill
-// stream matches one plain whole-budget run bit for bit. Delay totals are
-// compared to a relative 1e-12 only: grouping the sum by region re-
-// associates the float additions, which moves the last ulp (the bitwise
-// contract is region-ordered aggregation, per DESIGN.md §10 — RunChipLocal's
-// region order).
+// TestLocalReferenceMatchesWholeRun validates the reference itself against
+// the one run that does not go through the region path: a plain whole-chip
+// engine solving the whole budget at once. For greedy, normal and ILP-II
+// under a net cap, at region grids 3x1 and 3x2, the stripe-by-stripe
+// RunChipLocal must place the same fill set, and with a stripes-only grid
+// (gy = 1) the region order is the whole-chip instance order, so the fill
+// streams hash equal. Delay totals and per-net delays are compared to a
+// relative 1e-12 only: grouping the sums by region re-associates the float
+// additions, which moves the last ulp (the bitwise contract is region-
+// ordered aggregation, per DESIGN.md §10 — RunChipLocal's region order).
 func TestLocalReferenceMatchesWholeRun(t *testing.T) {
+	relClose := func(a, b float64) bool {
+		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	}
+	for _, method := range []string{"greedy", "normal", "ILP-II"} {
+		for _, gy := range []int{1, 2} {
+			label := fmt.Sprintf("%s 3x%d", method, gy)
+			job := testChip(method, 3, gy)
+			if method == "ILP-II" {
+				job.Options.NetCapPS = 0.0005
+			}
+			prep, err := PrepareChip(job)
+			if err != nil {
+				t.Fatalf("%s: PrepareChip: %v", label, err)
+			}
+			ref, err := RunChipLocal(context.Background(), prep)
+			if err != nil {
+				t.Fatalf("%s: RunChipLocal: %v", label, err)
+			}
+
+			opts, err := prep.Job.Options.SessionOptions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := opts.EngineConfig()
+			cfg.Workers = max(1, cfg.Workers)
+			eng, err := core.NewEngine(prep.Layout, prep.Dis, prep.Rule, cfg)
+			if err != nil {
+				t.Fatalf("%s: NewEngine: %v", label, err)
+			}
+			instances, err := eng.Instances(prep.Budget)
+			if err != nil {
+				t.Fatalf("%s: Instances: %v", label, err)
+			}
+			m, _ := server.ParseMethod(prep.Job.Method)
+			res, err := eng.Run(m, instances)
+			if err != nil {
+				t.Fatalf("%s: Run: %v", label, err)
+			}
+
+			if len(res.Fill.Fills) == 0 {
+				t.Fatalf("%s: whole run placed no fill; the comparison would be vacuous", label)
+			}
+			fh := server.NewFillHasher()
+			whole := make([][2]int, len(res.Fill.Fills))
+			for i, f := range res.Fill.Fills {
+				fh.Add(f.Col, f.Row)
+				whole[i] = [2]int{f.Col, f.Row}
+			}
+			if gy == 1 && (fh.Sum() != ref.FillHash || fh.Count() != ref.FillCount) {
+				t.Fatalf("%s: whole run fills %s/%d, reference %s/%d",
+					label, fh.Sum(), fh.Count(), ref.FillHash, ref.FillCount)
+			}
+			local := slices.Clone(ref.Fills)
+			for _, fills := range [][][2]int{whole, local} {
+				slices.SortFunc(fills, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+			}
+			if !slices.Equal(whole, local) {
+				t.Fatalf("%s: whole run places %d fills, reference %d, and the sets differ",
+					label, len(whole), len(local))
+			}
+			if !relClose(res.Unweighted, ref.Unweighted) || !relClose(res.Weighted, ref.Weighted) {
+				t.Fatalf("%s: whole run delays %g/%g, reference %g/%g",
+					label, res.Unweighted, res.Weighted, ref.Unweighted, ref.Weighted)
+			}
+			if len(res.PerNet) != len(ref.PerNet) {
+				t.Fatalf("%s: whole run has %d per-net delays, reference %d", label, len(res.PerNet), len(ref.PerNet))
+			}
+			for n, v := range res.PerNet {
+				if !relClose(v, ref.PerNet[n]) {
+					t.Fatalf("%s: net %s delay %g, reference %g", label, ref.NetNames[n], v, ref.PerNet[n])
+				}
+			}
+		}
+	}
+}
+
+// TestChipLocalCanceledBuildsNoEngine runs a prepared chip under a context
+// cancelled up front. RunChipLocal must return context.Canceled before it
+// builds the first region engine: the jobs' stripe layouts are taken away,
+// so any engine build would fail (or panic) with something else.
+func TestChipLocalCanceledBuildsNoEngine(t *testing.T) {
 	prep, err := PrepareChip(testChip("greedy", 3, 1))
 	if err != nil {
 		t.Fatalf("PrepareChip: %v", err)
 	}
-	ref, err := RunChipLocal(context.Background(), prep)
-	if err != nil {
-		t.Fatalf("RunChipLocal: %v", err)
+	for _, jb := range prep.Jobs {
+		jb.Layout = nil
 	}
-
-	opts, err := prep.Job.Options.SessionOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := opts.EngineConfig()
-	cfg.Workers = max(1, cfg.Workers)
-	eng, err := core.NewEngine(prep.Layout, prep.Dis, prep.Rule, cfg)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	instances, err := eng.Instances(prep.Budget)
-	if err != nil {
-		t.Fatalf("Instances: %v", err)
-	}
-	m, _ := server.ParseMethod(prep.Job.Method)
-	res, err := eng.Run(m, instances)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	fh := server.NewFillHasher()
-	for _, f := range res.Fill.Fills {
-		fh.Add(f.Col, f.Row)
-	}
-	if fh.Sum() != ref.FillHash || fh.Count() != ref.FillCount {
-		t.Fatalf("whole run fills %s/%d, reference %s/%d",
-			fh.Sum(), fh.Count(), ref.FillHash, ref.FillCount)
-	}
-	relClose := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
-	}
-	if !relClose(res.Unweighted, ref.Unweighted) || !relClose(res.Weighted, ref.Weighted) {
-		t.Fatalf("whole run delays %g/%g, reference %g/%g",
-			res.Unweighted, res.Weighted, ref.Unweighted, ref.Weighted)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunChipLocal(ctx, prep); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunChipLocal under a cancelled context: %v, want context.Canceled", err)
 	}
 }
 

@@ -388,10 +388,7 @@ func (ro *regionObs) reqID(attempt int, hedge bool) string {
 // histogram: "ok" first-attempt wins, "retried" later-attempt wins,
 // "hedge-won" hedged-duplicate wins.
 func (c *Coordinator) runRegion(ctx context.Context, jb *shard.Job, job *ChipJob, key string, ro *regionObs) (*server.RegionPayload, string, error) {
-	req, err := regionRequest(jb, job, key)
-	if err != nil {
-		return nil, "", err
-	}
+	req := regionRequest(jb, job, key)
 	ranked := rendezvous(c.cfg.Workers, key)
 	kh := fnv.New64a()
 	io.WriteString(kh, key)
@@ -608,8 +605,7 @@ func (c *Coordinator) Stats() CoordStats {
 // regionRequest builds the /v1/jobs submission for a region job. The chip's
 // CollectTrace flag is applied to the request copy of the options only —
 // regionKey hashes job.Options, so the idempotency key stays trace-agnostic.
-func regionRequest(jb *shard.Job, job *ChipJob, key string) (*server.SubmitRequest, error) {
-	o := jb.Region.Owned
+func regionRequest(jb *shard.Job, job *ChipJob, key string) *server.SubmitRequest {
 	opts := job.Options
 	opts.CollectTrace = job.CollectTrace || opts.CollectTrace
 	return &server.SubmitRequest{
@@ -618,25 +614,33 @@ func regionRequest(jb *shard.Job, job *ChipJob, key string) (*server.SubmitReque
 		Options:   opts,
 		TimeoutMS: job.TimeoutMS,
 		Key:       key,
-		Region: &server.RegionSpec{
-			ID:            jb.Region.ID(job.GX, job.GY),
-			WindowNM:      jb.WindowNM,
-			R:             jb.R,
-			Layer:         job.Layer,
-			RuleFeatureNM: job.RuleFeatureNM,
-			RuleGapNM:     job.RuleGapNM,
-			RuleBufferNM:  job.RuleBufferNM,
-			TileOffI:      jb.TileOffI,
-			TileOffJ:      jb.TileOffJ,
-			ColOff:        jb.ColOff,
-			RowOff:        jb.RowOff,
-			I0:            o.I0,
-			J0:            o.J0,
-			I1:            o.I1,
-			J1:            o.J1,
-			Budget:        jb.Budget,
-		},
-	}, nil
+		Region:    regionSpec(jb, job),
+	}
+}
+
+// regionSpec is a region job's RegionSpec: the one conversion from a shard
+// job to what server.SolveRegion reads, shared by the coordinator's
+// requests and RunChipLocal.
+func regionSpec(jb *shard.Job, job *ChipJob) *server.RegionSpec {
+	o := jb.Region.Owned
+	return &server.RegionSpec{
+		ID:            jb.Region.ID(job.GX, job.GY),
+		WindowNM:      jb.WindowNM,
+		R:             jb.R,
+		Layer:         job.Layer,
+		RuleFeatureNM: job.RuleFeatureNM,
+		RuleGapNM:     job.RuleGapNM,
+		RuleBufferNM:  job.RuleBufferNM,
+		TileOffI:      jb.TileOffI,
+		TileOffJ:      jb.TileOffJ,
+		ColOff:        jb.ColOff,
+		RowOff:        jb.RowOff,
+		I0:            o.I0,
+		J0:            o.J0,
+		I1:            o.I1,
+		J1:            o.J1,
+		Budget:        jb.Budget,
+	}
 }
 
 // retryableError marks outcomes the retry loop should absorb.

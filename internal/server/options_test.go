@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,14 +61,17 @@ func TestSubmitOptionsReachTheEngine(t *testing.T) {
 
 // FuzzSubmitRequest feeds arbitrary bodies through the submit path —
 // decodeSubmit as handleSubmit calls it, then the production task factory —
-// without running any task. Nothing may panic, and every request the
-// factory accepts must resolve to session options with a slack definition
-// in [1,3] and a positive window and r.
+// without running any task. Nothing may panic, every request the factory
+// accepts must resolve to session options with a slack definition in [1,3]
+// and a positive window and r, and an accepted region job carries no
+// negative offset, owned-rect corner or budget entry.
 func FuzzSubmitRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"testcase": "T1", "method": "ILP-II", "options": {"window": 32, "r": 4, "seed": 1}, "timeout_ms": 60000}`,
 		`{"def": "DESIGN x ;", "method": "greedy", "key": "k", "region": {"id": "r1x1-0-0", "window_nm": 12800, "r": 4,
 		  "rule_feature_nm": 150, "rule_gap_nm": 50, "rule_buffer_nm": 150, "i0": 0, "j0": 0, "i1": 1, "j1": 2, "budget": [3, 4]}}`,
+		`{"def": "DESIGN x ;", "method": "greedy", "region": {"id": "r1x1-0-0", "window_nm": 12800, "r": 4, "tile_off_i": -1, "col_off": -20,
+		  "rule_feature_nm": 150, "rule_gap_nm": 50, "rule_buffer_nm": 150, "i0": 0, "j0": 0, "i1": 1, "j1": 2, "budget": [3, -4]}}`,
 		`{"testcase": "T1", "method": "Greedy", "options": {"slackdef": 0}}`,
 		`{"testcase": "T1", "method": "Greedy", "options": {"slackdef": 4}}`,
 		`{"testcase": "T2", "method": "dp", "options": {"window": -32, "r": -4}}`,
@@ -87,6 +91,11 @@ func FuzzSubmitRequest(f *testing.F) {
 		opts, err := req.Options.SessionOptions()
 		if err != nil {
 			t.Fatalf("factory accepted options SessionOptions rejects: %v", err)
+		}
+		if r := req.Region; r != nil {
+			if min(r.TileOffI, r.TileOffJ, r.ColOff, r.RowOff, r.I0, r.J0, slices.Min(r.Budget)) < 0 {
+				t.Fatalf("accepted a region with a negative offset, corner or budget entry: %s", strings.TrimSpace(string(body)))
+			}
 		}
 		if opts.Def < 1 || opts.Def > 3 || opts.Window <= 0 || opts.R <= 0 {
 			t.Fatalf("accepted %s: def %d window %d r %d", strings.TrimSpace(string(body)), opts.Def, opts.Window, opts.R)

@@ -2,7 +2,8 @@
 // (internal/cluster) posts a SubmitRequest carrying a RegionSpec — a stripe
 // sub-layout DEF plus the owned tile rectangle, its fill budget, and the
 // offsets mapping stripe coordinates back to the chip — and the worker solves
-// exactly those tiles with a plain core.Engine. Everything the gather needs
+// exactly those tiles in SolveRegion, the one region solve the cluster's
+// in-process run (cluster.RunChipLocal) shares. Everything the gather needs
 // to reassemble a bit-identical whole-chip report rides back in the
 // RegionPayload: fills in chip site coordinates in placement order, raw
 // float64 delay subtotals (JSON round-trips float64 exactly), and per-net
@@ -101,18 +102,6 @@ type TileMS struct {
 	Nodes int     `json:"nodes,omitempty"`
 }
 
-// slowTilesOf converts a Result's top-K list to the wire form.
-func slowTilesOf(res *core.Result) []TileMS {
-	if len(res.SlowestTiles) == 0 {
-		return nil
-	}
-	out := make([]TileMS, len(res.SlowestTiles))
-	for i, t := range res.SlowestTiles {
-		out[i] = TileMS{I: t.I, J: t.J, MS: float64(t.Dur) / 1e6, Nodes: t.Nodes}
-	}
-	return out
-}
-
 // FillHasher accumulates the FNV-1a fill hash of a fill stream: 16 bytes
 // per fill, little-endian col then row. Create with
 // NewFillHasher; the coordinator uses the same type to hash the merged fill
@@ -141,28 +130,39 @@ func (fh *FillHasher) Sum() string { return fmt.Sprintf("%016x", fh.h.Sum64()) }
 func (fh *FillHasher) Count() int { return fh.n }
 
 // validateRegion checks a RegionSpec's internal consistency so malformed
-// scatter requests fail with 400 instead of a Failed job.
-func validateRegion(spec *RegionSpec) (layout.FillRule, error) {
+// scatter requests fail with 400 instead of a Failed job — or, for a
+// negative budget entry or offset, instead of a job that runs and reports
+// fill at the wrong place.
+func validateRegion(spec *RegionSpec) error {
 	rule := layout.FillRule{Feature: spec.RuleFeatureNM, Gap: spec.RuleGapNM, Buffer: spec.RuleBufferNM}
 	if err := rule.Validate(); err != nil {
-		return rule, fmt.Errorf("region rule: %w", err)
+		return fmt.Errorf("region rule: %w", err)
 	}
 	if spec.R < 1 || spec.WindowNM <= 0 || spec.WindowNM%int64(spec.R) != 0 {
-		return rule, fmt.Errorf("region dissection window %d / r %d invalid", spec.WindowNM, spec.R)
+		return fmt.Errorf("region dissection window %d / r %d invalid", spec.WindowNM, spec.R)
+	}
+	if min(spec.TileOffI, spec.TileOffJ, spec.ColOff, spec.RowOff, spec.I0, spec.J0) < 0 {
+		return errors.New("region offsets and owned rect must not be negative")
 	}
 	if spec.I1 <= spec.I0 || spec.J1 <= spec.J0 {
-		return rule, fmt.Errorf("region owned rect [%d,%d)x[%d,%d) is empty", spec.I0, spec.I1, spec.J0, spec.J1)
+		return fmt.Errorf("region owned rect [%d,%d)x[%d,%d) is empty", spec.I0, spec.I1, spec.J0, spec.J1)
 	}
 	if want := (spec.I1 - spec.I0) * (spec.J1 - spec.J0); len(spec.Budget) != want {
-		return rule, fmt.Errorf("region budget has %d entries, owned rect has %d tiles", len(spec.Budget), want)
+		return fmt.Errorf("region budget has %d entries, owned rect has %d tiles", len(spec.Budget), want)
 	}
-	return rule, nil
+	for k, n := range spec.Budget {
+		if n < 0 {
+			return fmt.Errorf("region budget entry %d is negative (%d)", k, n)
+		}
+	}
+	return nil
 }
 
-// regionTask builds the queue task for a region job. It mirrors defaultTask's
-// validate-up-front shape but drives core.Engine directly: the budget comes
-// from the coordinator (computed once for the whole chip), so the session
-// layer's own density budgeting must not run.
+// regionTask builds the queue task for a region job: it validates the
+// request up front, parses the stripe DEF when the job runs, and hands the
+// layout to SolveRegion with the job's progress hook and tracer. The budget
+// comes from the coordinator (computed once for the whole chip), so the
+// session layer's own density budgeting must not run.
 func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter) (jobqueue.Task, error) {
 	m, ok := ParseMethod(req.Method)
 	if !ok {
@@ -172,8 +172,7 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 		return nil, errors.New("region jobs require an inline def")
 	}
 	spec := *req.Region
-	rule, err := validateRegion(&spec)
-	if err != nil {
+	if err := validateRegion(&spec); err != nil {
 		return nil, err
 	}
 	opts, err := req.Options.SessionOptions()
@@ -181,8 +180,6 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 		return nil, err
 	}
 	base := opts.EngineConfig()
-	base.Layer = spec.Layer
-	base.TileOffI, base.TileOffJ = spec.TileOffI, spec.TileOffJ
 	base.Workers = EffectiveWorkers(base.Workers, queueWorkers)
 	o := req.Options
 	defText := req.DEF
@@ -195,79 +192,81 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 		if err != nil {
 			return nil, fmt.Errorf("load region layout: %w", err)
 		}
-		dis, err := layout.NewDissection(l.Die, spec.WindowNM, spec.R)
-		if err != nil {
-			return nil, fmt.Errorf("region dissection: %w", err)
-		}
-		// Owned rect in stripe-local indices; must land inside the stripe.
-		li0, li1 := spec.I0-spec.TileOffI, spec.I1-spec.TileOffI
-		lj0, lj1 := spec.J0-spec.TileOffJ, spec.J1-spec.TileOffJ
-		if li0 < 0 || li1 > dis.NX || lj0 < 0 || lj1 > dis.NY {
-			return nil, fmt.Errorf("owned rect [%d,%d)x[%d,%d) outside stripe grid %dx%d",
-				li0, li1, lj0, lj1, dis.NX, dis.NY)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		setPhase("prepare")
 		cfg := base
 		cfg.Trace = o.tracer()
 		cfg.OnTile = tracker.onTile
-		eng, err := core.NewEngine(l, dis, rule, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("region engine: %w", err)
-		}
-		budget := make(density.Budget, dis.NX)
-		for i := range budget {
-			budget[i] = make([]int, dis.NY)
-		}
-		w := spec.J1 - spec.J0
-		for i := li0; i < li1; i++ {
-			for j := lj0; j < lj1; j++ {
-				budget[i][j] = spec.Budget[(i-li0)*w+(j-lj0)]
-			}
-		}
-		instances, err := eng.Instances(budget)
-		if err != nil {
-			return nil, fmt.Errorf("region instances: %w", err)
-		}
-		// Instances() is the authoritative tile count: tiles with zero budget
-		// or no slack columns never become instances.
-		tracker.setTotal(len(instances))
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		setPhase("solve")
-		res, err := eng.RunContext(ctx, m, instances)
+		rep, err := SolveRegion(ctx, l, &spec, m, cfg, func(phase string, instances int) {
+			// Instances() is the authoritative tile count: tiles with zero
+			// budget or no slack columns never become instances.
+			tracker.setTotal(instances)
+			setPhase(phase)
+		})
 		if err != nil {
 			return nil, err
 		}
 		setPhase("report")
-		rep := buildRegionReport(&spec, l, res, cfg.Workers)
 		rep.Trace = cfg.Trace.Dump("pilfilld/" + spec.ID)
 		return rep, nil
 	}, nil
 }
 
-// buildRegionReport folds a region run into the wire payload: the standard
-// top-level figures (so worker metrics and job views read normally) plus the
-// RegionPayload merge inputs in chip coordinates.
-func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, workers int) *ReportPayload {
-	p := resultReport(res, workers)
-	p.Region = NewRegionPayload(spec.ID, l, res, spec.ColOff, spec.RowOff)
-	return p
-}
+// SolveRegion solves one region job on its stripe layout l: it checks that
+// the owned rectangle lies on the stripe's tile grid, builds the stripe
+// engine (cfg with the spec's layer and tile offsets), expands the owned
+// budget onto the stripe grid, and runs m on the owned tiles. phase is
+// called with "prepare" before the engine is built and with "solve" and the
+// instance count before the run. The report carries the region's merge
+// inputs in Region. pilfilld's region jobs and the cluster's in-process
+// run (cluster.RunChipLocal) both solve regions here.
+func SolveRegion(ctx context.Context, l *layout.Layout, spec *RegionSpec, m core.Method, cfg core.Config, phase func(name string, instances int)) (*ReportPayload, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	dis, err := layout.NewDissection(l.Die, spec.WindowNM, spec.R)
+	if err != nil {
+		return nil, fmt.Errorf("region dissection: %w", err)
+	}
+	// Owned rect in stripe-local indices; must land inside the stripe.
+	li0, li1 := spec.I0-spec.TileOffI, spec.I1-spec.TileOffI
+	lj0, lj1 := spec.J0-spec.TileOffJ, spec.J1-spec.TileOffJ
+	if li0 < 0 || li1 > dis.NX || lj0 < 0 || lj1 > dis.NY {
+		return nil, fmt.Errorf("owned rect [%d,%d)x[%d,%d) outside stripe grid %dx%d",
+			li0, li1, lj0, lj1, dis.NX, dis.NY)
+	}
 
-// NewRegionPayload converts a region run's result to the merge inputs, with
-// fill sites shifted by (colOff, rowOff) into chip coordinates and per-net
-// subtotals keyed by the names of l's nets. Workers and the cluster's local
-// reference run both build their payloads here, so the two merge identical
-// data.
-func NewRegionPayload(id string, l *layout.Layout, res *core.Result, colOff, rowOff int) *RegionPayload {
+	phase("prepare", 0)
+	cfg.Layer = spec.Layer
+	cfg.TileOffI, cfg.TileOffJ = spec.TileOffI, spec.TileOffJ
+	rule := layout.FillRule{Feature: spec.RuleFeatureNM, Gap: spec.RuleGapNM, Buffer: spec.RuleBufferNM}
+	eng, err := core.NewEngine(l, dis, rule, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("region engine: %w", err)
+	}
+	budget := make(density.Budget, dis.NX)
+	for i := range budget {
+		budget[i] = make([]int, dis.NY)
+	}
+	w := spec.J1 - spec.J0
+	for i := li0; i < li1; i++ {
+		copy(budget[i][lj0:lj1], spec.Budget[(i-li0)*w:])
+	}
+	instances, err := eng.Instances(budget)
+	if err != nil {
+		return nil, fmt.Errorf("region instances: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	phase("solve", len(instances))
+	res, err := eng.RunContext(ctx, m, instances)
+	if err != nil {
+		return nil, err
+	}
+	// The merge inputs: fills shifted into chip coordinates, per-net
+	// subtotals keyed by the names of l's nets.
 	rp := &RegionPayload{
-		ID:         id,
+		ID:         spec.ID,
 		Tiles:      res.Tiles,
 		Requested:  res.Requested,
 		Placed:     res.Placed,
@@ -278,11 +277,13 @@ func NewRegionPayload(id string, l *layout.Layout, res *core.Result, colOff, row
 		Unweighted: res.Unweighted,
 		Weighted:   res.Weighted,
 		Fills:      make([][2]int, 0, len(res.Fill.Fills)),
-		SlowTiles:  slowTilesOf(res),
+	}
+	for _, t := range res.SlowestTiles {
+		rp.SlowTiles = append(rp.SlowTiles, TileMS{I: t.I, J: t.J, MS: float64(t.Dur) / 1e6, Nodes: t.Nodes})
 	}
 	fh := NewFillHasher()
 	for _, f := range res.Fill.Fills {
-		col, row := f.Col+colOff, f.Row+rowOff
+		col, row := f.Col+spec.ColOff, f.Row+spec.RowOff
 		rp.Fills = append(rp.Fills, [2]int{col, row})
 		fh.Add(col, row)
 	}
@@ -295,5 +296,7 @@ func NewRegionPayload(id string, l *layout.Layout, res *core.Result, colOff, row
 			rp.PerNet[l.Nets[n].Name] = v
 		}
 	}
-	return rp
+	rep := resultReport(res, cfg.Workers)
+	rep.Region = rp
+	return rep, nil
 }

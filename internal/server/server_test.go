@@ -324,6 +324,43 @@ func TestValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestRegionValidation posts region job bodies to a worker: a well-formed
+// one is accepted, and each variant carrying a negative budget entry,
+// offset or owned-rect corner gets 400 before it is queued. A negative
+// budget entry would read as 0 and a negative offset would shift fills to
+// negative chip columns, so neither may run.
+func TestRegionValidation(t *testing.T) {
+	_, ts := startServer(t, server.Config{Queue: jobqueue.Config{Capacity: 8, Workers: 1}})
+	valid := func() server.SubmitRequest {
+		return server.SubmitRequest{DEF: "DESIGN x ;", Method: "greedy", Region: &server.RegionSpec{
+			ID: "r1x1-0-0", WindowNM: 12800, R: 4,
+			RuleFeatureNM: 150, RuleGapNM: 50, RuleBufferNM: 150,
+			TileOffI: 2, ColOff: 40, I0: 2, J0: 0, I1: 3, J1: 2, Budget: []int{3, 4},
+		}}
+	}
+	if code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", valid()); code != http.StatusAccepted {
+		t.Fatalf("well-formed region: %d %s, want 202", code, data)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*server.RegionSpec)
+	}{
+		{"negative budget", func(r *server.RegionSpec) { r.Budget[1] = -1 }},
+		{"negative col_off", func(r *server.RegionSpec) { r.ColOff = -40 }},
+		{"negative row_off", func(r *server.RegionSpec) { r.RowOff = -1 }},
+		{"negative tile_off_i", func(r *server.RegionSpec) { r.TileOffI = -2 }},
+		{"negative tile_off_j", func(r *server.RegionSpec) { r.TileOffJ = -1 }},
+		{"negative i0", func(r *server.RegionSpec) { r.I0, r.I1 = -1, 0 }},
+		{"short budget", func(r *server.RegionSpec) { r.Budget = r.Budget[:1] }},
+	} {
+		req := valid()
+		tc.edit(req.Region)
+		if code, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req); code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", tc.name, code, data)
+		}
+	}
+}
+
 func TestDrainRejectsAndHealthzFlips(t *testing.T) {
 	s, ts := startServer(t, server.Config{Queue: jobqueue.Config{Capacity: 2, Workers: 1}})
 

@@ -165,9 +165,11 @@ func NewPlan(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, lay
 // budget, and the canonical content hash.
 type Job struct {
 	Region Region
-	// DEF is the stripe sub-layout in the DEF-subset dialect. Regions in one
-	// stripe column carry the same DEF.
-	DEF string
+	// Layout is the stripe sub-layout and DEF its text in the DEF-subset
+	// dialect: in-process runs solve on Layout, remote workers parse DEF.
+	// Regions in one stripe column share both.
+	Layout *layout.Layout
+	DEF    string
 	// WindowNM and R reproduce the chip dissection on the stripe.
 	WindowNM int64
 	R        int
@@ -180,9 +182,9 @@ type Job struct {
 	// Budget is the owned rectangle's fill budget, row-major in chip tile
 	// order: Budget[(i-Owned.I0)*(Owned.J1-Owned.J0) + (j-Owned.J0)].
 	Budget []int
-	// Hash is the canonical SHA-256 content hash over everything above —
-	// two jobs with equal hashes are the same work, which is what makes
-	// retried submissions safe to dedupe.
+	// Hash is the canonical SHA-256 content hash over everything above
+	// (DEF standing for Layout) — two jobs with equal hashes are the same
+	// work, which is what makes retried submissions safe to dedupe.
 	Hash string
 }
 
@@ -256,15 +258,12 @@ func (p *Plan) Jobs(budget density.Budget) ([]*Job, error) {
 	if len(budget) != d.NX {
 		return nil, fmt.Errorf("shard: budget is %d tile columns, dissection has %d", len(budget), d.NX)
 	}
-	type stripeInfo struct {
-		def             string
-		tileOff, colOff int
-	}
-	stripes := make(map[int]stripeInfo)
+	// stripes holds each stripe column's shared fields, cut once.
+	stripes := make(map[int]Job)
 	pitch := p.Rule.Pitch()
 	out := make([]*Job, 0, len(p.Regions))
 	for _, r := range p.Regions {
-		si, ok := stripes[r.IX]
+		jb, ok := stripes[r.IX]
 		if !ok {
 			sub, err := p.stripeLayout(r.IX)
 			if err != nil {
@@ -274,29 +273,24 @@ func (p *Plan) Jobs(budget density.Budget) ([]*Job, error) {
 			if err := def.Write(&b, sub); err != nil {
 				return nil, fmt.Errorf("shard: stripe %d: %w", r.IX, err)
 			}
-			si = stripeInfo{
-				def:     b.String(),
-				tileOff: int((sub.Die.X1 - d.Die.X1) / d.Tile),
-				colOff:  int((sub.Die.X1 - d.Die.X1) / pitch),
+			jb = Job{
+				Layout:   sub,
+				DEF:      b.String(),
+				WindowNM: d.Window,
+				R:        d.R,
+				TileOffI: int((sub.Die.X1 - d.Die.X1) / d.Tile),
+				ColOff:   int((sub.Die.X1 - d.Die.X1) / pitch),
 			}
-			stripes[r.IX] = si
+			stripes[r.IX] = jb
 		}
 		o := r.Owned
-		b := make([]int, 0, o.Tiles())
+		jb.Region = r
+		jb.Budget = make([]int, 0, o.Tiles())
 		for i := o.I0; i < o.I1; i++ {
-			b = append(b, budget[i][o.J0:o.J1]...)
-		}
-		jb := &Job{
-			Region:   r,
-			DEF:      si.def,
-			WindowNM: d.Window,
-			R:        d.R,
-			TileOffI: si.tileOff,
-			ColOff:   si.colOff,
-			Budget:   b,
+			jb.Budget = append(jb.Budget, budget[i][o.J0:o.J1]...)
 		}
 		jb.Hash = jb.contentHash(p.Rule)
-		out = append(out, jb)
+		out = append(out, &jb)
 	}
 	return out, nil
 }
@@ -318,9 +312,10 @@ func (jb *Job) contentHash(rule layout.FillRule) string {
 }
 
 // MaskedBudget returns a copy of the chip-wide budget zeroed outside the
-// rectangle — the single-process reference path (cluster.RunChipLocal)
-// solves each region this way on one whole-chip engine, in region order,
-// and the cluster e2e tests compare the distributed gather against it.
+// rectangle. It is kept only for cmd/bench's traced chip mirror, which
+// still solves each region this way on one whole-chip engine; the library's
+// in-process run (cluster.RunChipLocal) solves each region on its Job's
+// stripe layout instead.
 func MaskedBudget(b density.Budget, rect TileRect) density.Budget {
 	out := make(density.Budget, len(b))
 	for i := range b {
